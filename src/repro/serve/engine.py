@@ -24,8 +24,9 @@ and health ejection filter the backend pick, a retry budget caps
 requeue amplification (exhaustion sheds as ``retry-budget`` drops),
 overdue batches are hedged onto a second node, the overload ladder
 degrades fast → eco → host-assist → shed, and every completion/drop
-feeds the per-kernel SLO error budgets.  With ``resilience=None`` none
-of these paths is ever entered — plain runs stay bit-identical.
+feeds the per-kernel SLO error budgets.  With ``resilience=None`` the
+same dispatcher and outcome handler run with every node admitted, no
+retry budget and no SLO bookkeeping.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ class ServeConfig:
     retry: Optional[RetryPolicy] = None
     #: Pricing backend; None builds the calibrated analytic book.
     book: Optional[ServiceBook] = None
-    #: Fleet robustness machinery; None = plain engine (bit-identical
-    #: to the pre-resilience behavior).
+    #: Fleet robustness machinery; None = plain engine (no breakers,
+    #: retry budget, hedging, overload ladder or SLO tracking).
     resilience: Optional[ResilienceConfig] = None
     #: Heterogeneous fleet composition; None = homogeneous fleet of
-    #: ``nodes`` default-archetype nodes (bit-identical to the
-    #: pre-heterogeneity behavior).  When set, ``nodes`` is derived from
-    #: the spec and the spec's routing table steers dispatch.
+    #: ``nodes`` nodes pricing through ``book``.  When set, ``nodes`` is
+    #: derived from the spec and the spec's routing table steers
+    #: dispatch.
     fleet: Optional[FleetSpec] = None
 
     def __post_init__(self) -> None:
@@ -82,16 +83,17 @@ class ServeConfig:
 
 @dataclass
 class _Flight:
-    """Resilience-path bookkeeping of one dispatched batch (+ hedge).
+    """Hedging bookkeeping of one dispatched batch (+ its hedge copy).
 
-    Keyed in the engine by the identity of each dispatched batch list
-    (the hedge copy is a distinct list of the same requests), so the
-    pair resolves exactly once no matter which copy finishes first.
+    Created only when hedging is armed and keyed in the engine by the
+    identity of each dispatched batch list (the hedge copy is a distinct
+    list of the same requests), so the pair resolves exactly once no
+    matter which copy finishes first.  The flight holds both lists, so
+    their ids stay unique while any key is live.
     """
 
     batch: List[Request]
     node_name: str
-    tier: str
     expected_end: float
     outstanding: int = 1
     resolved: bool = False
@@ -103,7 +105,6 @@ class ServeEngine:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        groups = None
         self.routing: Dict[str, str] = {}
         if config.fleet is not None:
             books = config.fleet.books()
@@ -112,19 +113,18 @@ class ServeEngine:
             self.routing = dict(config.fleet.routing)
             # Host fallback and scheduler estimates price through the
             # first group's book unless the caller pinned one.
-            default_book = groups[0][1]
+            self.book = config.book if config.book is not None \
+                else groups[0][1]
         else:
-            default_book = None
-        self.book = config.book if config.book is not None \
-            else (default_book if default_book is not None
-                  else AnalyticServiceBook())
+            self.book = config.book if config.book is not None \
+                else AnalyticServiceBook()
+            groups = [(None, self.book, config.nodes)]
         self.simulator = Simulator()
         self.scheduler = Scheduler(config.scheduler, self.book)
         self.fleet = Fleet(
-            self.simulator, self.book, config.nodes,
+            self.simulator, self.book, groups,
             plans=config.fault_plans, seed=config.seed,
-            retry=config.retry, on_outcome=self._on_outcome,
-            groups=groups)
+            retry=config.retry, on_outcome=self._on_outcome)
         self.res = ResilienceRuntime(config.resilience) \
             if config.resilience is not None else None
         self.records: List[RequestRecord] = []
@@ -132,7 +132,6 @@ class ServeEngine:
         self.in_flight = 0
         self.drain_hooks: List = []
         self._flights: Dict[int, _Flight] = {}
-        self._open_flights: List[_Flight] = []
         self._requeues: Dict[int, int] = {}
         self._signals: Dict[str, object] = {}
         self._arrivals_open = True
@@ -265,52 +264,46 @@ class ServeEngine:
                 name="serve.wake")
 
     def _route(self, candidates: List[Node],
-               kernel: Optional[str]) -> Node:
+               kernel: str) -> Optional[Node]:
         """Prefer the archetype the routing table names for *kernel*.
 
-        Falls back to the first candidate (exactly the pre-routing
-        pick) when there is no table, no entry, or no available node of
-        the routed archetype — routing is a preference, never a stall.
+        Falls back to the first candidate when there is no table, no
+        entry, or no available node of the routed archetype — routing
+        is a preference, never a stall.  None when there is no
+        candidate at all.
         """
-        if kernel is not None and self.routing:
-            target = self.routing.get(kernel)
-            if target is not None:
-                for node in candidates:
-                    if node.archetype == target:
-                        return node
-        return candidates[0]
+        target = self.routing.get(kernel)
+        if target is not None:
+            for node in candidates:
+                if node.archetype == target:
+                    return node
+        return candidates[0] if candidates else None
 
     def _usable_nodes(self) -> List[Node]:
-        """Dispatchable backends in fleet order (host only as fallback)."""
-        if self.res is None:
-            available = self.fleet.available_nodes()
-            if available:
-                return available
-            if not self.fleet.alive_nodes() and self.fleet.host.available:
-                return [self.fleet.host]
-            return []
+        """Dispatchable backends in fleet order (host only as fallback).
+
+        Without resilience every available node is usable and the host
+        steps in once no accelerator is left alive.  Resilience filters
+        out ejected and breakered nodes, treats a fleet of them as gone,
+        and calls the host in eagerly at the host-assist overload rung.
+        """
+        res = self.res
         now = self.simulator.now
-        usable = [node for node in self.fleet.available_nodes()
-                  if self.res.node_usable(node.name, now)]
+        usable = self.fleet.available_nodes()
+        if res is not None:
+            usable = [node for node in usable
+                      if res.node_usable(node.name, now)]
         if usable:
             return usable
         host = self.fleet.host
         if host.available:
             any_usable_alive = any(
-                self.res.node_usable(node.name, now)
+                res is None or res.node_usable(node.name, now)
                 for node in self.fleet.alive_nodes())
-            # Host fallback widens under resilience: not only when the
-            # whole fleet is gone, but when every survivor is ejected or
-            # breakered, and eagerly at the host-assist overload rung.
-            if not any_usable_alive or self.res.overload.level >= 2:
+            if not any_usable_alive \
+                    or (res is not None and res.overload.level >= 2):
                 return [host]
         return []
-
-    def _pick_backend(self, kernel: Optional[str] = None) -> Optional[Node]:
-        candidates = self._usable_nodes()
-        if not candidates:
-            return None
-        return self._route(candidates, kernel)
 
     def _tier_for(self, node: Node, batch: List[Request]) -> Optional[str]:
         if node.is_host:
@@ -337,54 +330,33 @@ class ServeEngine:
     def _dispatch_ready(self) -> None:
         if self.res is not None:
             self._overload_tick()
-        if self.routing:
-            self._dispatch_routed()
-        else:
-            self._dispatch_pooled()
-        if self.res is not None and self.res.config.hedging:
+        self._dispatch()
+        if self._flights:
             self._maybe_hedge()
 
-    def _dispatch_pooled(self) -> None:
-        """Pooled dispatch: any free node takes the next batch."""
-        while self.scheduler.queue:
-            node = self._pick_backend()
-            if node is None:
-                break
-            batch, late = self.scheduler.take_batch(self.simulator.now)
-            for request in late:
-                # Late drops end a closed-loop chain unless the client
-                # gets to think again.
-                self._issue_next(request)
-            if not batch:
-                continue    # the whole queue was past-deadline drops
-            tier = self._tier_for(node, batch)
-            if tier is None:
-                self._defer(batch)
-                break
-            self._launch(node, batch, tier)
+    def _dispatch(self) -> None:
+        """Hand queued batches to free backends until none fits.
 
-    def _dispatch_routed(self) -> None:
-        """Strict-routing dispatch for heterogeneous fleets.
-
-        Each free node only takes kernels routed to its archetype, so
-        a spilled batch can never evict another class's resident
-        binary — the partitioned fleet the capacity planner prices is
-        the fleet the DES runs.  Two escape hatches keep strictness
-        from stalling the queue: kernels without a routing entry run
-        anywhere, and a kernel whose routed archetype has no node left
-        alive spills to any survivor (serving it dirty beats never
-        serving it).  The host fallback has no resident binary to
-        thrash and takes whatever the policy orders first.
+        With a routing table each free node only takes kernels routed
+        to its archetype, so a spilled batch can never evict another
+        class's resident binary — the partitioned fleet the capacity
+        planner prices is the fleet the DES runs.  Two escape hatches
+        keep strictness from stalling the queue: kernels without a
+        routing entry run anywhere, and a kernel whose routed archetype
+        has no node left alive spills to any survivor (serving it dirty
+        beats never serving it).  The host fallback has no resident
+        binary to thrash and takes whatever the policy orders first;
+        without a routing table every node does.
         """
         while self.scheduler.queue:
             candidates = self._usable_nodes()
             if not candidates:
                 break
-            alive = {node.archetype for node in self.fleet.alive_nodes()}
-            progressed = False
+            alive = {node.archetype for node in self.fleet.alive_nodes()} \
+                if self.routing else None
             for node in candidates:
                 allow = None
-                if not node.is_host:
+                if alive is not None and not node.is_host:
                     def allow(request, _arch=node.archetype,
                               _alive=alive):
                         target = self.routing.get(request.kernel)
@@ -393,6 +365,8 @@ class ServeEngine:
                 batch, late = self.scheduler.take_batch(
                     self.simulator.now, allow=allow)
                 for request in late:
+                    # Late drops end a closed-loop chain unless the
+                    # client gets to think again.
                     self._issue_next(request)
                 if not batch:
                     continue    # nothing this node may serve
@@ -401,9 +375,8 @@ class ServeEngine:
                     self._defer(batch)
                     return
                 self._launch(node, batch, tier)
-                progressed = True
                 break
-            if not progressed:
+            else:
                 break
 
     def _defer(self, batch: List[Request]) -> None:
@@ -425,10 +398,10 @@ class ServeEngine:
     def _launch(self, node: Node, batch: List[Request], tier: str) -> None:
         self.in_flight += len(batch)
         if self.res is not None:
-            self._flights[id(batch)] = flight = _Flight(
-                batch=batch, node_name=node.name, tier=tier,
-                expected_end=self._expected_end(node, batch, tier))
-            self._open_flights.append(flight)
+            if self.res.config.hedging:
+                self._flights[id(batch)] = _Flight(
+                    batch=batch, node_name=node.name,
+                    expected_end=self._expected_end(node, batch, tier))
             if not node.is_host:
                 self.res.breaker(node.name).note_dispatch()
         node.assign(batch, tier)
@@ -473,10 +446,10 @@ class ServeEngine:
     def _maybe_hedge(self) -> None:
         res = self.res
         now = self.simulator.now
-        self._open_flights = [flight for flight in self._open_flights
-                              if flight.outstanding > 0]
-        overdue = [flight for flight in self._open_flights
-                   if not flight.resolved and flight.hedge_batch is None
+        # An unhedged flight has exactly one key in the table, and every
+        # flight still keyed there has a copy in service.
+        overdue = [flight for flight in self._flights.values()
+                   if flight.hedge_batch is None
                    and now > flight.expected_end + res.config.hedge_margin_s]
         if not overdue:
             return
@@ -484,7 +457,7 @@ class ServeEngine:
         # valve, not a second dispatcher.
         flight = min(overdue, key=lambda f: (f.expected_end,
                                              f.batch[0].request_id))
-        node = self._pick_backend(kernel=flight.batch[0].kernel)
+        node = self._route(self._usable_nodes(), flight.batch[0].kernel)
         if node is None or node.name == flight.node_name:
             return
         hedge_batch = list(flight.batch)
@@ -503,21 +476,70 @@ class ServeEngine:
     # -- completions -------------------------------------------------------------
 
     def _on_outcome(self, outcome: ServiceOutcome) -> None:
-        if self.res is not None:
-            self._on_outcome_resilient(outcome)
-            return
-        self.in_flight -= len(outcome.batch)
-        if outcome.died:
-            # The node took its batch down with it: back to the head of
-            # the queue, to be re-served elsewhere.
-            for request in outcome.batch:
+        res = self.res
+        flight = self._flights.pop(id(outcome.batch), None)
+        if flight is not None:
+            flight.outstanding -= 1
+        node = outcome.node
+        if res is not None and not node.is_host:
+            if outcome.died:
+                res.record_failure(node.name, self.simulator.now)
+            else:
+                res.breaker(node.name).record_success()
+        if flight is not None and flight.resolved:
+            # The pair already completed on the other copy; this loser's
+            # spend is pure hedging waste.
+            self._note_hedge_waste(outcome)
+        elif outcome.died:
+            if flight is not None and flight.outstanding > 0:
+                # The hedge copy is still running and becomes the retry
+                # — no requeue, no extra in-flight accounting.
+                res.hedge_covered_failures += 1
+            else:
+                self.in_flight -= len(outcome.batch)
+                self._retry(outcome.batch)
+        else:
+            if flight is not None:
+                flight.resolved = True
+                if outcome.batch is flight.hedge_batch:
+                    res.hedge_wins += 1
+            self.in_flight -= len(outcome.batch)
+            self._complete(outcome)
+        self._fire("complete")
+
+    def _retry(self, batch: List[Request]) -> None:
+        """A node took *batch* down with it: back to the queue head.
+
+        Under resilience the retry budget may refuse: shedding beats a
+        requeue storm amplifying the outage.
+        """
+        res = self.res
+        if res is None or res.retry.allow(len(batch), len(self.records)):
+            for request in batch:
                 self._requeues[request.request_id] = \
                     self._requeues.get(request.request_id, 0) + 1
-            self.scheduler.requeue(outcome.batch)
-            self._fire("complete")
+            self.scheduler.requeue(batch)
             return
+        now = self.simulator.now
+        res.alert(now, "warn", "overload", "retry-budget",
+                  f"budget exhausted; shedding {len(batch)} requests")
+        for request in batch:
+            self.scheduler.dropped.append((request, "retry-budget"))
+            res.slo.record_drop(request.kernel, now)
+            self._requeues.pop(request.request_id, None)
+            self._issue_next(request)
+
+    def _complete(self, outcome: ServiceOutcome) -> None:
+        """Record every request of a served batch (and feed the SLOs)."""
+        res = self.res
+        now = self.simulator.now
         share = 1.0 / len(outcome.batch)
         for index, request in enumerate(outcome.batch):
+            if res is not None:
+                res.slo.record_completion(
+                    request.kernel, outcome.end_s - request.arrival_s,
+                    self.book.estimate(request), now)
+                res.completed += 1
             self.records.append(RequestRecord(
                 request=request,
                 start_s=outcome.start_s,
@@ -533,81 +555,6 @@ class ServeEngine:
                                  if index == 0 else 0.0),
                 energy_j=outcome.energy_j * share))
             self._issue_next(request)
-        self._fire("complete")
-
-    def _on_outcome_resilient(self, outcome: ServiceOutcome) -> None:
-        res = self.res
-        now = self.simulator.now
-        flight = self._flights.pop(id(outcome.batch), None)
-        if flight is not None:
-            flight.outstanding -= 1
-        node = outcome.node
-        if not node.is_host:
-            if outcome.died:
-                res.record_failure(node.name, now)
-            else:
-                res.breaker(node.name).record_success()
-        if outcome.died:
-            if flight is not None and flight.resolved:
-                # The pair already completed on the other copy; this
-                # loser's spend is pure hedging waste.
-                self._note_hedge_waste(outcome)
-            elif flight is not None and flight.outstanding > 0:
-                # The hedge copy is still running and becomes the retry
-                # — no requeue, no extra in-flight accounting.
-                res.hedge_covered_failures += 1
-            else:
-                self.in_flight -= len(outcome.batch)
-                if res.retry.allow(len(outcome.batch), len(self.records)):
-                    for request in outcome.batch:
-                        self._requeues[request.request_id] = \
-                            self._requeues.get(request.request_id, 0) + 1
-                    self.scheduler.requeue(outcome.batch)
-                else:
-                    # Retry budget exhausted: shedding beats a requeue
-                    # storm amplifying the outage.
-                    res.alert(now, "warn", "overload", "retry-budget",
-                              f"budget exhausted; shedding "
-                              f"{len(outcome.batch)} requests")
-                    for request in outcome.batch:
-                        self.scheduler.dropped.append(
-                            (request, "retry-budget"))
-                        res.slo.record_drop(request.kernel, now)
-                        self._requeues.pop(request.request_id, None)
-                        self._issue_next(request)
-            self._fire("complete")
-            return
-        if flight is not None and flight.resolved:
-            # The slower hedge copy of an already-recorded pair.
-            self._note_hedge_waste(outcome)
-            self._fire("complete")
-            return
-        if flight is not None:
-            flight.resolved = True
-            if flight.hedge_batch is not None \
-                    and outcome.batch is flight.hedge_batch:
-                res.hedge_wins += 1
-        self.in_flight -= len(outcome.batch)
-        share = 1.0 / len(outcome.batch)
-        for index, request in enumerate(outcome.batch):
-            res.slo.record_completion(
-                request.kernel, outcome.end_s - request.arrival_s,
-                self.book.estimate(request), now)
-            res.completed += 1
-            self.records.append(RequestRecord(
-                request=request,
-                start_s=outcome.start_s,
-                end_s=outcome.end_s,
-                node=outcome.node.name,
-                tier=outcome.tier,
-                requeues=self._requeues.pop(request.request_id, 0),
-                fault_attempts=outcome.fault_attempts if index == 0 else 0,
-                wasted_time_s=outcome.wasted_time_s if index == 0 else 0.0,
-                wasted_energy_j=(outcome.wasted_energy_j
-                                 if index == 0 else 0.0),
-                energy_j=outcome.energy_j * share))
-            self._issue_next(request)
-        self._fire("complete")
 
     def _note_hedge_waste(self, outcome: ServiceOutcome) -> None:
         self.res.hedge_waste_time_s += outcome.end_s - outcome.start_s

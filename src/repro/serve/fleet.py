@@ -616,48 +616,37 @@ class Node:
 
 
 class Fleet:
-    """N accelerator nodes plus the host fallback backend.
+    """Accelerator nodes plus the host fallback backend.
 
-    Homogeneous by default (every node prices through *book*); pass
-    *groups* — an ordered list of ``(archetype_name, book, count)``
-    triples — to build a heterogeneous fleet whose nodes carry
-    per-archetype books.  *book* stays the host/default pricing (host
-    fallback, scheduler estimates).  Group order assigns node indices
-    (group 0 gets the lowest), matching how fault plans cycle.
+    *groups* is an ordered list of ``(archetype_name, book, count)``
+    triples: each group's nodes price through that group's book, and
+    the node count is the sum of the counts.  A homogeneous fleet is one
+    group (archetype ``None``) of *book*.  *book* stays the host/default
+    pricing (host fallback, scheduler estimates).  Group order assigns
+    node indices (group 0 gets the lowest), matching how fault plans
+    cycle.
     """
 
     def __init__(self, simulator: Simulator, book: ServiceBook,
-                 nodes: int, plans: Optional[List[FaultPlan]] = None,
+                 groups: List[Tuple[Optional[str], ServiceBook, int]],
+                 plans: Optional[List[FaultPlan]] = None,
                  seed: int = 1, retry: Optional[RetryPolicy] = None,
-                 on_outcome: Optional[Callable[[ServiceOutcome], None]] = None,
-                 groups: Optional[
-                     List[Tuple[Optional[str], ServiceBook, int]]] = None):
-        if nodes < 1:
-            raise ConfigurationError(f"fleet needs >= 1 nodes, got {nodes}")
-        if groups is not None and sum(count for _, _, count in groups) \
-                != nodes:
-            raise ConfigurationError(
-                f"fleet groups sum to "
-                f"{sum(count for _, _, count in groups)} nodes, "
-                f"but the fleet was sized for {nodes}")
+                 on_outcome: Optional[Callable[[ServiceOutcome], None]] = None):
         self.simulator = simulator
         self.book = book
         self.tracker = PowerTracker(simulator, base_w=book.host_power)
         self.nodes: List[Node] = []
-        if groups is None:
-            groups = [(None, book, nodes)]
-        index = 0
         for archetype, group_book, count in groups:
             for _ in range(count):
-                plan = None
-                if plans:
-                    plan = plans[index % len(plans)]
+                index = len(self.nodes)
+                plan = plans[index % len(plans)] if plans else None
                 self.nodes.append(Node(
                     index, group_book, simulator, self.tracker, plan=plan,
                     seed=seed * 1000 + index * 7919 + 1, retry=retry,
                     on_outcome=on_outcome, archetype=archetype))
-                index += 1
-        self.host = Node(nodes, book, simulator, self.tracker,
+        if not self.nodes:
+            raise ConfigurationError("fleet groups hold no nodes")
+        self.host = Node(len(self.nodes), book, simulator, self.tracker,
                          seed=seed, retry=retry, on_outcome=on_outcome,
                          is_host=True)
 

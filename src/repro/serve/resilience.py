@@ -34,9 +34,9 @@ hedged dispatch             (engine-side) a duplicate of an overdue
 
 Everything is deterministic: state advances only on engine events and
 simulated-time probes, so chaos campaigns rerun bit-identically.  When
-``ServeConfig.resilience`` is ``None`` the engine never touches this
-module and behaves exactly as before — a chaos run with an empty plan
-is bit-identical to a plain serve run.
+``ServeConfig.resilience`` is ``None`` the engine runs the same
+dispatcher and outcome handler without consulting this module — a
+chaos run with an empty plan is bit-identical to a plain serve run.
 """
 
 from __future__ import annotations
@@ -456,7 +456,7 @@ class ResilienceRuntime:
 
     Owned by :class:`~repro.serve.engine.ServeEngine` when
     ``ServeConfig.resilience`` is set; ``None`` otherwise (the engine
-    then never consults it, keeping plain runs bit-identical).
+    checks for ``None`` at each call site and skips the mechanism).
     """
 
     def __init__(self, config: ResilienceConfig):

@@ -201,7 +201,7 @@ class Scheduler:
         candidates = indices if indices is not None \
             else range(len(self.queue))
         if policy in (Policy.FIFO, Policy.POWER_CAP):
-            return candidates[0] if indices is not None else 0
+            return candidates[0]
         if policy is Policy.SJF:
             return min(candidates,
                        key=lambda i: (self.book.estimate(self.queue[i]), i))
@@ -223,8 +223,7 @@ class Scheduler:
 
         *allow* restricts eligibility (strict routing: a node only
         takes kernels routed to its archetype); requests it rejects
-        stay queued untouched.  ``None`` considers everything — the
-        exact pre-routing behavior.
+        stay queued untouched.  ``None`` considers everything.
         """
         late: List[Request] = []
         if self.config.drop_late:
