@@ -30,6 +30,7 @@ import math
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import KernelError
 from repro.isa.program import Block, Loop, Program
@@ -135,23 +136,32 @@ class HogKernel(Kernel):
         w_low = Q16_ONE - w_high
         return w_low, w_high
 
-    def _block_histogram(self, magnitude: np.ndarray, angle: np.ndarray,
-                         block_y: int, block_x: int) -> np.ndarray:
+    def _block_histograms(self, magnitude: np.ndarray,
+                          angle: np.ndarray) -> np.ndarray:
         """Gaussian-weighted, trilinearly interpolated 2x2x9 histogram of
-        one block (software 64-bit accumulators)."""
-        y0 = block_y * CELL
-        x0 = block_x * CELL
+        every block, ``[block_y, block_x, cell, bin]`` (software 64-bit
+        accumulators).
+
+        A pixel's orientation bin and fraction do not depend on the block
+        it is counted in, and its Gaussian and spatial weights depend only
+        on its position inside the block, so each is computed once over
+        overlapping block views.  All arithmetic is integer: the order of
+        accumulation cannot change a sum.
+        """
         side = 2 * CELL
-        mag = magnitude[y0:y0 + side, x0:x0 + side]
-        ang = angle[y0:y0 + side, x0:x0 + side]
         # Fold angle into [0, pi) (unsigned orientations).
-        folded = np.where(ang < 0, ang + _PI_Q16, ang)
+        folded = np.where(angle < 0, angle + _PI_Q16, angle)
         folded = np.where(folded >= _PI_Q16, folded - _PI_Q16, folded)
         # t = angle * BINS / pi in Q16.16.
         t = (folded * BINS << 16) // _PI_Q16
-        bin_low = (t >> 16) % BINS
-        frac = t & (Q16_ONE - 1)
-        weighted = (mag * self._window) >> 15
+
+        def blocks(plane: np.ndarray) -> np.ndarray:
+            """[block_y, block_x, pixel_y, pixel_x] view of *plane*."""
+            return sliding_window_view(plane, (side, side))[::CELL, ::CELL]
+
+        bin_low = blocks((t >> 16) % BINS)
+        frac = blocks(t & (Q16_ONE - 1))
+        weighted = (blocks(magnitude) * self._window) >> 15
         orientation_parts = (
             (bin_low, (weighted * (Q16_ONE - frac)) >> 16),
             ((bin_low + 1) % BINS, (weighted * frac) >> 16),
@@ -159,15 +169,19 @@ class HogKernel(Kernel):
         w_low, w_high = self._spatial_weights_q16(side)
         wy = np.stack([w_low, w_high])   # [cell_y, pixel_y]
         wx = np.stack([w_low, w_high])
-        histogram = np.zeros((4, BINS), dtype=np.int64)
+        # Flat index of (block, cell 0, bin 0), broadcast over pixels.
+        block_base = (np.arange(BLOCKS * BLOCKS, dtype=np.int64)
+                      * (4 * BINS)).reshape(BLOCKS, BLOCKS, 1, 1)
+        histograms = np.zeros(BLOCKS * BLOCKS * 4 * BINS, dtype=np.int64)
         for bins, contribution in orientation_parts:
             for cell_y in range(2):
                 for cell_x in range(2):
+                    cell = 2 * cell_y + cell_x
                     spatial = (wy[cell_y][:, None] * wx[cell_x][None, :]) >> 16
                     value = (contribution * spatial) >> 16
-                    np.add.at(histogram[2 * cell_y + cell_x],
-                              bins.ravel(), value.ravel())
-        return histogram
+                    index = block_base + cell * BINS + bins
+                    np.add.at(histograms, index.ravel(), value.ravel())
+        return histograms.reshape(BLOCKS, BLOCKS, 4, BINS)
 
     def compute(self, inputs: Arrays) -> Arrays:
         image = inputs["image"]
@@ -175,23 +189,23 @@ class HogKernel(Kernel):
         if image.dtype != np.uint8:
             raise KernelError("hog expects a uint8 image")
         magnitude, angle = self._gradients(image)
+        histograms = self._block_histograms(magnitude, angle)
+        # Per-block normalization, all blocks in one rsqrt call (the
+        # integer arithmetic is elementwise, so batching is exact).
+        energy = ((histograms * histograms) >> 16).sum(axis=(2, 3)) \
+            + EPSILON_Q16
+        norm = rsqrt_q16(energy)[:, :, None, None]
+        normalized = np.minimum((histograms * norm) >> 16, CLIP_Q16)
         # descriptor[cy, cx, slot, bin]; slot = cell position in block.
         descriptor = np.zeros((CELLS, CELLS, 4, BINS), dtype=np.int64)
         filled = np.zeros((CELLS, CELLS, 4), dtype=bool)
-        for block_y in range(BLOCKS):
-            for block_x in range(BLOCKS):
-                histogram = self._block_histogram(magnitude, angle,
-                                                  block_y, block_x)
-                energy = ((histogram * histogram) >> 16).sum() + EPSILON_Q16
-                norm = rsqrt_q16(np.array([energy]))[0]
-                normalized = np.minimum((histogram * norm) >> 16, CLIP_Q16)
-                for slot in range(4):
-                    cy = block_y + slot // 2
-                    cx = block_x + slot % 2
-                    # The cell's position inside this block indexes the
-                    # descriptor slot (top-left block -> slot 3, etc).
-                    descriptor[cy, cx, 3 - slot] = normalized[slot]
-                    filled[cy, cx, 3 - slot] = True
+        for slot in range(4):
+            dy, dx = slot // 2, slot % 2
+            # The cell's position inside its block indexes the
+            # descriptor slot (top-left block -> slot 3, etc).
+            descriptor[dy:dy + BLOCKS, dx:dx + BLOCKS, 3 - slot] = \
+                normalized[:, :, slot]
+            filled[dy:dy + BLOCKS, dx:dx + BLOCKS, 3 - slot] = True
         self._fill_boundary(descriptor, filled)
         return {"descriptor": descriptor.astype(np.int32)}
 

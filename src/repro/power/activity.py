@@ -53,6 +53,10 @@ class StateFractions:
                 f"state fractions must be non-negative and sum to 1, got {self}")
 
 
+#: The state of a component a profile leaves unspecified.
+_IDLE = StateFractions()
+
+
 @dataclass(frozen=True)
 class ActivityProfile:
     """chi factors for every component (missing components default idle)."""
@@ -62,7 +66,7 @@ class ActivityProfile:
 
     def chi(self, component: PulpComponent) -> StateFractions:
         """State fractions for *component* (idle if unspecified)."""
-        return self.fractions.get(component, StateFractions())
+        return self.fractions.get(component, _IDLE)
 
     # -- canonical profiles (the paper's power-analysis input vectors) ------
 

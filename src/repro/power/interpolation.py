@@ -4,11 +4,23 @@ The paper: "To estimate maximum frequency at operating points not covered
 by timing analysis, we used a simple polynomial interpolation model."
 This module provides that model, plus its (numerically bracketed)
 inverse used to find the minimum voltage sustaining a target frequency.
+
+Evaluation is scalar Horner over coefficients cached as Python floats::
+
+    y = 0.0
+    for c in coefficients:      # highest degree first
+        y = y * x + c
+
+This is the exact multiply-then-add sequence ``np.polyval`` runs (it
+starts from ``zeros_like(x)`` and does ``y = y * x + c`` per coefficient,
+in float64 with no fused multiply-add), so the two agree bit for bit.
+The Python loop avoids numpy's per-call array overhead, which dominates
+on the scalar calls of the envelope solver's nested bisection.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -32,31 +44,48 @@ class PolynomialInterpolator:
         self.x_min = float(xs[0])
         self.x_max = float(xs[-1])
         self.coefficients = np.polyfit(xs, ys, degree)
+        self._terms: Tuple[float, ...] = tuple(
+            float(c) for c in self.coefficients)
         probe = np.linspace(self.x_min, self.x_max, 256)
         values = np.polyval(self.coefficients, probe)
         if np.any(np.diff(values) <= 0):
             raise OperatingPointError(
                 "fitted polynomial is not monotonically increasing over the range")
+        self._y_range = (self._eval(self.x_min), self._eval(self.x_max))
+
+    def _eval(self, x: float) -> float:
+        """Horner evaluation at *x*, no range check."""
+        y = 0.0
+        for c in self._terms:
+            y = y * x + c
+        return y
 
     def __call__(self, x: float) -> float:
         """Evaluate the fit at *x* (must lie within the anchored range)."""
         if x < self.x_min - 1e-12 or x > self.x_max + 1e-12:
             raise OperatingPointError(
                 f"{x} outside interpolation range [{self.x_min}, {self.x_max}]")
-        return float(np.polyval(self.coefficients, min(max(x, self.x_min), self.x_max)))
+        return self._eval(float(min(max(x, self.x_min), self.x_max)))
 
     def inverse(self, y: float, tolerance: float = 1e-9) -> float:
-        """Find x such that f(x) = y by bisection (monotonic fit)."""
+        """Find x such that f(x) = y by bisection (monotonic fit).
+
+        The range is checked once against f(x_min) and f(x_max), cached at
+        construction; the bisection then evaluates without re-checking.
+        """
         lo, hi = self.x_min, self.x_max
-        y_lo, y_hi = self(lo), self(hi)
+        y_lo, y_hi = self._y_range
         y_tol = 1e-9 * max(abs(y_lo), abs(y_hi), 1.0)
         if y < y_lo - y_tol or y > y_hi + y_tol:
             raise OperatingPointError(
                 f"{y} outside invertible range [{y_lo}, {y_hi}]")
         y = min(max(y, y_lo), y_hi)
+        # Every midpoint lies inside [x_min, x_max], so the range check
+        # and clamp of __call__ would be no-ops here.
+        evaluate = self._eval
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self(mid) < y:
+            if evaluate(mid) < y:
                 lo = mid
             else:
                 hi = mid

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -85,8 +86,6 @@ class OperatingPointTable:
 
     def leakage_at(self, voltage: float) -> float:
         """Leakage power at *voltage*, log-linearly interpolated."""
-        import math
-
         if voltage < self.v_min - 1e-9 or voltage > self.v_max + 1e-9:
             raise OperatingPointError(
                 f"voltage {voltage} outside [{self.v_min}, {self.v_max}]")

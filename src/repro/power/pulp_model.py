@@ -96,13 +96,16 @@ class PulpPowerModel:
     def dynamic_density(self, activity: ActivityProfile,
                         voltage: float) -> float:
         """Activity-weighted dynamic density (W/Hz) at *voltage*."""
-        scale = (voltage / V_NOMINAL) ** 2
+        return self._nominal_density(activity) * (voltage / V_NOMINAL) ** 2
+
+    def _nominal_density(self, activity: ActivityProfile) -> float:
+        """``sum chi * rho`` over every component, at V_NOMINAL (W/Hz)."""
         total = 0.0
         for component in PulpComponent:
             rho = self.densities[component]
             chi = activity.chi(component)
             total += chi.idle * rho.idle + chi.run * rho.run + chi.dma * rho.dma
-        return total * scale
+        return total
 
     def dynamic_power(self, frequency: float, voltage: float,
                       activity: ActivityProfile) -> float:
@@ -127,8 +130,7 @@ class PulpPowerModel:
         """Total power running at *frequency* at the minimum voltage that
         sustains it (the FLL/divider pick the frequency, the regulator the
         voltage)."""
-        voltage = self.table.voltage_for(frequency)
-        return self.total_power(frequency, voltage, activity)
+        return self._locus_power(frequency, self._nominal_density(activity))
 
     def max_frequency_within(self, budget: float,
                              activity: ActivityProfile,
@@ -137,25 +139,36 @@ class PulpPowerModel:
 
         Returns ``(0.0, v_min)`` when even the minimum point exceeds the
         budget.  Power is monotonically increasing in frequency along the
-        minimum-voltage locus, so a bisection suffices.
+        minimum-voltage locus, so a bisection suffices.  The activity
+        density does not depend on the point, so it is summed once per
+        call rather than once per step.
         """
         if budget <= 0:
             return 0.0, self.table.v_min
+        density = self._nominal_density(activity)
         lo, hi = 0.0, self.table.f_max
         f_floor = min(mhz(1), hi)
-        if self.power_at_frequency(f_floor, activity) > budget:
+        if self._locus_power(f_floor, density) > budget:
             return 0.0, self.table.v_min
-        if self.power_at_frequency(hi, activity) <= budget:
+        if self._locus_power(hi, density) <= budget:
             return hi, self.table.voltage_for(hi)
         lo = f_floor
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
-            if self.power_at_frequency(mid, activity) <= budget:
+            if self._locus_power(mid, density) <= budget:
                 lo = mid
             else:
                 hi = mid
         frequency = lo
         return frequency, self.table.voltage_for(frequency)
+
+    def _locus_power(self, frequency: float, density: float) -> float:
+        """:meth:`power_at_frequency`, given the nominal activity density;
+        the same arithmetic as :meth:`total_power` at ``voltage_for``."""
+        voltage = self.table.voltage_for(frequency)
+        self._check_point(frequency, voltage)
+        dynamic = frequency * (density * (voltage / V_NOMINAL) ** 2)
+        return dynamic + self.table.leakage_at(voltage)
 
     def anchored_points(self):
         """The anchored (voltage, f_max, leakage) points of the table."""

@@ -1,21 +1,28 @@
 """Tests for the HOG kernel."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.isa.cortexm import CortexM3Target, CortexM4Target
 from repro.isa.or10n import Or10nTarget
 from repro.isa.vop import OpKind
 from repro.kernels.hog import (
+    _PI_Q16,
     BINS,
     BLOCKS,
+    CELL,
     CELLS,
     CLIP_Q16,
+    EPSILON_Q16,
     HogKernel,
     gaussian_window_q15,
 )
-from repro.kernels.fixmath import Q16_ONE
+from repro.kernels.fixmath import Q16_ONE, rsqrt_q16
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,83 @@ class TestFunctional:
         kernel = HogKernel()
         with pytest.raises(KernelError):
             kernel.compute({"image": np.zeros((64, 64), dtype=np.uint8)})
+
+
+#: sha256 of the Q16.16 descriptor bytes for ``generate_inputs(seed)``.
+#: The float-reference comparison above has a tolerance, so a reordering
+#: that flips one LSB would pass it; these pins would not.
+DESCRIPTOR_SHA256 = {
+    0: "129ebbd4e653cad5fac0f8cd2a1108c0b0de30347da55eeaab35b51ab1cd6f02",
+    1: "2c03b910a42c297f91fbe27cca41d1ab1ddfdbac280e59d5b4933b702c442424",
+    2: "7eb9bb5eba47e20eb0223dff6c8642fd28e9b1f3a135a1841c04d9b099bcb207",
+    3: "218fb3d4713630ca853672f01828e295ef9e0e982892bb53c3a875191d369430",
+    4: "73f0812550f252099454feb217745d209f8acfbdb6062dd7374f4bd4eda333f6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESCRIPTOR_SHA256))
+def test_descriptor_is_bit_exact(seed):
+    kernel = HogKernel()
+    descriptor = kernel.compute(kernel.generate_inputs(seed))["descriptor"]
+    digest = hashlib.sha256(descriptor.tobytes()).hexdigest()
+    assert digest == DESCRIPTOR_SHA256[seed]
+
+
+def _per_block_compute(kernel, image):
+    """The per-block form of ``HogKernel.compute``: one histogram and one
+    single-element ``rsqrt_q16`` per block, kept as the reference for the
+    batched path."""
+    magnitude, angle = kernel._gradients(image)
+    side = 2 * CELL
+    w_low, w_high = kernel._spatial_weights_q16(side)
+    wy = np.stack([w_low, w_high])
+    wx = np.stack([w_low, w_high])
+    descriptor = np.zeros((CELLS, CELLS, 4, BINS), dtype=np.int64)
+    filled = np.zeros((CELLS, CELLS, 4), dtype=bool)
+    for block_y in range(BLOCKS):
+        for block_x in range(BLOCKS):
+            y0, x0 = block_y * CELL, block_x * CELL
+            mag = magnitude[y0:y0 + side, x0:x0 + side]
+            ang = angle[y0:y0 + side, x0:x0 + side]
+            folded = np.where(ang < 0, ang + _PI_Q16, ang)
+            folded = np.where(folded >= _PI_Q16, folded - _PI_Q16, folded)
+            t = (folded * BINS << 16) // _PI_Q16
+            bin_low = (t >> 16) % BINS
+            frac = t & (Q16_ONE - 1)
+            weighted = (mag * kernel._window) >> 15
+            histogram = np.zeros((4, BINS), dtype=np.int64)
+            for bins, contribution in (
+                    (bin_low, (weighted * (Q16_ONE - frac)) >> 16),
+                    ((bin_low + 1) % BINS, (weighted * frac) >> 16)):
+                for cell_y in range(2):
+                    for cell_x in range(2):
+                        spatial = (wy[cell_y][:, None]
+                                   * wx[cell_x][None, :]) >> 16
+                        value = (contribution * spatial) >> 16
+                        np.add.at(histogram[2 * cell_y + cell_x],
+                                  bins.ravel(), value.ravel())
+            energy = ((histogram * histogram) >> 16).sum() + EPSILON_Q16
+            norm = rsqrt_q16(np.array([energy]))[0]
+            normalized = np.minimum((histogram * norm) >> 16, CLIP_Q16)
+            for slot in range(4):
+                cy, cx = block_y + slot // 2, block_x + slot % 2
+                descriptor[cy, cx, 3 - slot] = normalized[slot]
+                filled[cy, cx, 3 - slot] = True
+    kernel._fill_boundary(descriptor, filled)
+    return descriptor.astype(np.int32)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 255))
+def test_batched_blocks_equal_per_block_reference(seed, contrast):
+    rng = np.random.default_rng(seed)
+    # Random contrast covers low-energy blocks (near the epsilon) as well
+    # as saturated ones.
+    image = (rng.integers(0, 256, size=(128, 128)) * contrast // 255)
+    image = {"image": image.astype(np.uint8)}
+    kernel = HogKernel()
+    assert np.array_equal(kernel.compute(image)["descriptor"],
+                          _per_block_compute(kernel, image["image"]))
 
 
 class TestProgram:
