@@ -41,7 +41,7 @@ class ResultCache:
             return None
         try:
             document = store.load_results(path)
-        except (ConfigurationError, ValueError, OSError):
+        except ConfigurationError:
             return None
         metadata = document.get("metadata", {})
         if metadata.get("model_version") != model_version:

@@ -52,8 +52,15 @@ def save_results(results: Any, path: PathLike,
 
 
 def load_results(path: PathLike) -> Dict[str, Any]:
-    """Load a stored run: ``{"metadata": ..., "results": ...}``."""
-    document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    """Load a stored run: ``{"metadata": ..., "results": ...}``.
+
+    An unreadable or malformed file is a :class:`ConfigurationError`
+    naming *path*.
+    """
+    try:
+        document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(document, dict) or "results" not in document:
         raise ConfigurationError(f"{path} is not a result store document")
     return document

@@ -387,7 +387,7 @@ class TestLearnCli:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["primary"] == "tree"
-        from repro.learn.cli import LEARN_EXIT_REGRET
+        from repro.cli import EXIT_GATE as LEARN_EXIT_REGRET
 
         assert main(["learn", "eval", "--dataset", str(dataset_path),
                      "--max-regret", "0.0"]) == LEARN_EXIT_REGRET
