@@ -26,7 +26,6 @@ from repro.link.spi import SpiLink, SpiMode
 from repro.pulp.binary import KernelBinary
 from repro.pulp.cluster import Cluster
 from repro.pulp.timing import ContentionModel, op_stream_from_report
-from repro.power.activity import ActivityProfile
 from repro.runtime.omp import DeviceOpenMp
 from repro.runtime.overheads import OmpOverheads
 from repro.units import mhz
@@ -40,7 +39,7 @@ def test_ablation_spi_width(benchmark, results_dir):
     binary = KernelBinary.from_program(program)
     omp = DeviceOpenMp(Or10nTarget(), 4)
     execution = omp.execute(program)
-    activity = ActivityProfile.compute(4, execution.memory_intensity)
+    activity = execution.activity()
 
     def efficiency(mode):
         model = OffloadCostModel(link=SpiLink(mode))

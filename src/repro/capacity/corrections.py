@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.faults.resilient import RetryPolicy
-from repro.serve.fleet import LADDER, ServiceBook
+from repro.faults.resilient import LADDER, RetryPolicy
+from repro.serve.fleet import ServiceBook
 
 
 @dataclass(frozen=True)

@@ -75,17 +75,19 @@ import time
 from typing import List, Optional
 
 from repro.core.system import HeterogeneousSystem
-from repro.errors import ConfigurationError, IsaError, ReproError
+from repro.errors import (
+    EXIT_ERROR,
+    EXIT_FAILED,
+    EXIT_GATE,
+    EXIT_OK,
+    EXIT_REGRESSION,
+    ConfigurationError,
+    IsaError,
+    ReproError,
+)
 from repro.experiments import figure3, figure4, figure5, table1
 from repro.kernels import BENCHMARK_NAMES, kernel_by_name
 from repro.units import mhz
-
-#: The exit-code contract (see the module docstring).
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_GATE = 3
-EXIT_FAILED = 4
-EXIT_REGRESSION = BENCH_EXIT_REGRESSION = 5
 
 
 def _dump(payload, sort_keys: bool = False) -> str:

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 from repro.errors import BudgetError, ConfigurationError
 from repro.core.system import HeterogeneousSystem
 from repro.kernels.base import Kernel
-from repro.power.activity import ActivityProfile
 from repro.units import mhz
 
 
@@ -69,9 +68,7 @@ class DualTaskModel:
         utilization fits (< 100 %) and the accelerator still gets power."""
         program = kernel.build_program()
         execution = self.system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=self.system.omp.threads,
-            memory_intensity=execution.memory_intensity)
+        activity = execution.activity()
         host_cycles = self.system.host.device.lower(program).cycles
         baseline_time = host_cycles / self.system.host.BASELINE_FREQUENCY
 

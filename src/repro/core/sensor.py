@@ -15,10 +15,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigurationError, OffloadError
+from repro.errors import ConfigurationError
 from repro.core.system import HeterogeneousSystem
 from repro.kernels.base import Kernel
-from repro.power.activity import ActivityProfile
 from repro.units import mhz, uw_per_mhz
 
 
@@ -99,16 +98,11 @@ class SensorPipeline:
         (steady state).
         """
         program = kernel.build_program()
-        execution = self.system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=self.system.omp.threads,
-            memory_intensity=execution.memory_intensity)
-        point = self.system.envelope.solve(host_frequency, activity)
-        if not point.accelerator_usable:
-            raise OffloadError("no accelerator budget at this host clock")
-        compute_time = execution.wall_cycles / point.pulp_frequency
+        quote = self.system.quote(program, host_frequency)
+        point = quote.envelope
+        compute_time = quote.compute_time
         pulp_active = self.system.soc.power_model.total_power(
-            point.pulp_frequency, point.pulp_voltage, activity)
+            point.pulp_frequency, point.pulp_voltage, quote.activity)
 
         sensor_iface = self.sensor if path is SensorPath.THROUGH_HOST \
             else self.direct_port

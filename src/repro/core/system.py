@@ -6,17 +6,26 @@ link.  ``offload`` runs an OpenMP ``target`` region end to end —
 *functionally* (real bytes travel through the wire protocol into the L2
 model, the kernel computes, results come back and are verified) and
 *analytically* (cycles, power and energy from the calibrated models).
+
+The analytic chain has one owner: :meth:`HeterogeneousSystem.quote`
+runs the program on the device OpenMP model, derives its activity and
+solves the power envelope for the best accelerator operating point;
+:meth:`HeterogeneousSystem.price` prices binary, boot, transfers and
+compute at that point.  The single offload, the resilient driver, the
+serving books, the sensor pipeline and Figure 5b all price through
+this pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.errors import OffloadError
 from repro.core.envelope import EnvelopePoint, PowerEnvelopeSolver
 from repro.core.offload import OffloadCostModel, OffloadTiming
 from repro.isa.or10n import Or10nTarget
+from repro.isa.program import Program
 from repro.kernels.base import Arrays, Kernel
 from repro.link.protocol import encode_frame, decode_frames
 from repro.link.spi import SpiLink, SpiMode
@@ -42,6 +51,27 @@ class HostRun:
     def energy(self) -> float:
         """Energy of the host run."""
         return self.time * self.power
+
+
+@dataclass(frozen=True)
+class OffloadQuote:
+    """A kernel program placed at its accelerator operating point.
+
+    ``nominal`` is the point the envelope solver chose; ``envelope`` is
+    the point the offload runs at — ``nominal`` itself, or ``nominal``
+    drooped by a brownout.
+    """
+
+    program: Program
+    execution: ParallelExecution
+    activity: ActivityProfile
+    nominal: EnvelopePoint
+    envelope: EnvelopePoint
+
+    @property
+    def compute_time(self) -> float:
+        """Seconds of one kernel run at the operating point."""
+        return self.execution.wall_cycles / self.envelope.pulp_frequency
 
 
 @dataclass
@@ -224,10 +254,7 @@ class HeterogeneousSystem:
         self.omp = DeviceOpenMp(self.target, threads=threads)
         self.cost_model = OffloadCostModel(self.host, self.link,
                                            self.soc.power_model)
-        solver_kwargs = {} if budget is None else {"budget": budget}
-        self.envelope = PowerEnvelopeSolver(
-            host_device=self.host.device,
-            pulp_power=self.soc.power_model, **solver_kwargs)
+        self.envelope = self._solver(budget)
         self._resident_binary: Optional[str] = None
         self._event_clock = 0.0
 
@@ -235,6 +262,73 @@ class HeterogeneousSystem:
         """Monotonic timestamps for the GPIO event lines across offloads."""
         self._event_clock += 1e-6
         return self._event_clock
+
+    def _solver(self, budget: Optional[float]) -> PowerEnvelopeSolver:
+        kwargs = {} if budget is None else {"budget": budget}
+        return PowerEnvelopeSolver(host_device=self.host.device,
+                                   pulp_power=self.soc.power_model, **kwargs)
+
+    # -- the pricer ---------------------------------------------------------------
+
+    def quote(self, program: Program, host_frequency: float, *,
+              name: str = "compute", budget: Optional[float] = None,
+              droop: float = 1.0) -> OffloadQuote:
+        """Place *program* at its best operating point.
+
+        Executes the program on the device OpenMP model, derives its
+        activity profile (labelled *name*) and solves the envelope at
+        *host_frequency* — within *budget* watts instead of this
+        system's own envelope when given.  A brownout *droop* below 1
+        re-locks the FLL at that fraction of the solved clock, at the
+        lowest voltage that sustains it.  Raises
+        :class:`~repro.errors.OffloadError` when the host leaves the
+        accelerator no power.
+        """
+        execution = self.omp.execute(program)
+        activity = execution.activity(name)
+        solver = self.envelope if budget is None else self._solver(budget)
+        nominal = solver.solve(host_frequency, activity)
+        if not nominal.accelerator_usable:
+            raise OffloadError(
+                f"no accelerator power budget left with the host at "
+                f"{host_frequency / 1e6:.0f} MHz")
+        envelope = nominal
+        if droop < 1.0:
+            power_model = self.soc.power_model
+            frequency = nominal.pulp_frequency * droop
+            voltage = power_model.table.voltage_for(frequency)
+            envelope = replace(
+                nominal, pulp_frequency=frequency, pulp_voltage=voltage,
+                pulp_power=power_model.total_power(frequency, voltage,
+                                                   activity))
+        return OffloadQuote(program=program, execution=execution,
+                            activity=activity, nominal=nominal,
+                            envelope=envelope)
+
+    def price(self, quote: OffloadQuote, iterations: int = 1,
+              double_buffered: bool = False,
+              include_binary: bool = True) -> OffloadTiming:
+        """Latency and energy of *iterations* runs of a quoted program.
+
+        The binary is uploaded and booted first unless *include_binary*
+        is false (it is already resident); inputs and outputs cross the
+        link every iteration, serially or double-buffered.
+        """
+        program = quote.program
+        point = quote.envelope
+        return self.cost_model.offload_timing(
+            binary_bytes=KernelBinary.from_program(program).image_bytes,
+            input_bytes=program.input_bytes,
+            output_bytes=program.output_bytes,
+            compute_cycles=quote.execution.wall_cycles,
+            pulp_frequency=point.pulp_frequency,
+            pulp_voltage=point.pulp_voltage,
+            activity=quote.activity,
+            host_frequency=point.host_frequency,
+            iterations=iterations,
+            double_buffered=double_buffered,
+            include_binary=include_binary,
+        )
 
     # -- baseline -----------------------------------------------------------------
 
@@ -302,35 +396,15 @@ class HeterogeneousSystem:
         verified = read_back == output_payload
 
         # ---- analytic path: cycles, envelope, offload costs ----
-        execution = self.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=self.omp.threads,
-            memory_intensity=execution.memory_intensity,
-            name=kernel.name)
-        point = self.envelope.solve(host_frequency, activity)
-        if not point.accelerator_usable:
-            raise OffloadError(
-                f"no accelerator power budget left with the host at "
-                f"{host_frequency / 1e6:.0f} MHz")
-        timing = self.cost_model.offload_timing(
-            binary_bytes=binary.image_bytes if include_binary else 0,
-            input_bytes=len(input_payload),
-            output_bytes=len(output_payload),
-            compute_cycles=execution.wall_cycles,
-            pulp_frequency=point.pulp_frequency,
-            pulp_voltage=point.pulp_voltage,
-            activity=activity,
-            host_frequency=host_frequency,
-            iterations=iterations,
-            double_buffered=double_buffered,
-            include_binary=include_binary,
-        )
+        quote = self.quote(program, host_frequency, name=kernel.name)
+        timing = self.price(quote, iterations, double_buffered,
+                            include_binary)
         return OffloadResult(
             kernel_name=kernel.name,
             outputs=outputs,
             verified=verified,
-            execution=execution,
-            envelope=point,
+            execution=quote.execution,
+            envelope=quote.envelope,
             timing=timing,
             host_baseline=self.run_on_host(kernel),
         )

@@ -10,6 +10,14 @@ from __future__ import annotations
 
 import builtins
 
+#: The exit-code contract of every ``python -m repro`` command (the
+#: table in ``docs/API.md``); 2 stays argparse's usage error.
+EXIT_OK = 0
+EXIT_ERROR = 1        #: bad input, or a ``lint`` ERROR finding
+EXIT_GATE = 3         #: a gate breached or a run degraded
+EXIT_FAILED = 4       #: a run failed (no result, fleet collapse)
+EXIT_REGRESSION = 5   #: ``bench --check``/``--compare`` regression
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""

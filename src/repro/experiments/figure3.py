@@ -16,7 +16,6 @@ from repro.isa.baseline import BaselineRiscTarget
 from repro.isa.or10n import Or10nTarget
 from repro.kernels.matmul import MatmulKernel
 from repro.mcu.catalog import MCU_CATALOG
-from repro.power.activity import ActivityProfile
 from repro.power.pulp_model import PulpPowerModel
 from repro.runtime.omp import DeviceOpenMp
 from repro.units import format_watts
@@ -84,8 +83,7 @@ def run(threads: int = 4) -> Figure3Result:
     power_model = PulpPowerModel()
     omp = DeviceOpenMp(Or10nTarget(), threads=threads)
     execution = omp.execute(program)
-    activity = ActivityProfile.compute(
-        cores_active=threads, memory_intensity=execution.memory_intensity)
+    activity = execution.activity()
     for op in power_model.anchored_points():
         time = execution.wall_cycles / op.fmax
         power = power_model.total_power(op.fmax, op.voltage, activity)

@@ -23,15 +23,15 @@ from repro.core.envelope import (
     FIGURE5A_HOST_FREQUENCIES,
     PowerEnvelopeSolver,
 )
-from repro.core.offload import OffloadCostModel
+from repro.core.system import HeterogeneousSystem
+from repro.errors import OffloadError
 from repro.isa.baseline import BaselineRiscTarget
 from repro.isa.cortexm import CortexM4Target
 from repro.isa.or10n import Or10nTarget
 from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels
+from repro.link.spi import SpiLink
 from repro.mcu.stm32l476 import Stm32L476
-from repro.power.activity import ActivityProfile
-from repro.pulp.binary import KernelBinary
 from repro.runtime.omp import DeviceOpenMp
 from repro.units import mhz
 
@@ -98,9 +98,7 @@ def run_figure5a(threads: int = 4,
         program = kernel.build_program()
         risc_ops = baseline.risc_ops(program)
         execution = omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=threads,
-            memory_intensity=execution.memory_intensity)
+        activity = execution.activity()
         host_cycles = m4.lower(program).cycles
         host_time_baseline = host_cycles / BASELINE_FREQUENCY
         for host_frequency in host_frequencies:
@@ -227,32 +225,18 @@ def run_figure5b(kernel: Optional[Kernel] = None, threads: int = 4,
         from repro.kernels.cnn import CnnKernel
         kernel = CnnKernel()
     program = kernel.build_program()
-    binary = KernelBinary.from_program(program)
-    solver = PowerEnvelopeSolver()
-    cost_model = OffloadCostModel()
-    omp = DeviceOpenMp(Or10nTarget(), threads=threads)
-    execution = omp.execute(program)
-    activity = ActivityProfile.compute(
-        cores_active=threads, memory_intensity=execution.memory_intensity)
+    # The figure's link is the single-wire SPI default, not the
+    # system's QSPI.
+    system = HeterogeneousSystem(link=SpiLink(), threads=threads)
     points: List[Figure5bPoint] = []
     for host_frequency in host_frequencies:
-        point = solver.solve(host_frequency, activity)
-        if not point.accelerator_usable:
+        try:
+            quote = system.quote(program, host_frequency)
+        except OffloadError:
             continue
         for double_buffered in (False, True):
             for iterations in iteration_counts:
-                timing = cost_model.offload_timing(
-                    binary_bytes=binary.image_bytes,
-                    input_bytes=program.input_bytes,
-                    output_bytes=program.output_bytes,
-                    compute_cycles=execution.wall_cycles,
-                    pulp_frequency=point.pulp_frequency,
-                    pulp_voltage=point.pulp_voltage,
-                    activity=activity,
-                    host_frequency=host_frequency,
-                    iterations=iterations,
-                    double_buffered=double_buffered,
-                )
+                timing = system.price(quote, iterations, double_buffered)
                 points.append(Figure5bPoint(
                     host_frequency=host_frequency,
                     iterations=iterations,

@@ -17,7 +17,6 @@ from repro.isa.baseline import BaselineRiscTarget
 from repro.isa.or10n import Or10nTarget
 from repro.kernels.registry import all_kernels
 from repro.mcu.catalog import MCU_CATALOG
-from repro.power.activity import ActivityProfile
 from repro.power.pulp_model import PulpPowerModel
 from repro.runtime.omp import DeviceOpenMp
 
@@ -49,9 +48,7 @@ def run(threads: int = 4) -> List[GridRow]:
         program = kernel.build_program()
         risc_ops = baseline.risc_ops(program)
         execution = omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=threads,
-            memory_intensity=execution.memory_intensity)
+        activity = execution.activity()
         pulp_best = 0.0
         for op in power_model.anchored_points():
             time = execution.wall_cycles / op.fmax

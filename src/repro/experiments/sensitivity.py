@@ -16,7 +16,6 @@ from repro.isa.cortexm import CortexM4Target
 from repro.isa.costs import or10n_costs
 from repro.isa.or10n import Or10nTarget
 from repro.kernels.matmul import MatmulKernel
-from repro.power.activity import ActivityProfile
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
 from repro.power.pulp_model import (
     PULP3_DENSITIES,
@@ -47,7 +46,7 @@ def _measure(power_model: PulpPowerModel,
     risc_ops = BaselineRiscTarget().risc_ops(program)
     omp = DeviceOpenMp(or10n, threads=4)
     execution = omp.execute(program)
-    activity = ActivityProfile.compute(4, execution.memory_intensity)
+    activity = execution.activity()
     best = 0.0
     for op in power_model.anchored_points():
         time = execution.wall_cycles / op.fmax

@@ -26,7 +26,7 @@ reported cheaper than a clean one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import errors
@@ -84,6 +84,10 @@ class RetryPolicy:
     def backoff_s(self, failure_index: int) -> float:
         """Backoff sleep after the ``failure_index``-th failed attempt."""
         return self.backoff_base_s * self.backoff_factor ** failure_index
+
+    def watchdog_s(self, compute_s: float) -> float:
+        """Watchdog period for *compute_s* seconds of expected compute."""
+        return max(self.watchdog_floor_s, self.watchdog_factor * compute_s)
 
 
 def await_end_of_computation(compute_time: float, hang: bool) -> float:
@@ -211,35 +215,18 @@ class ResilientDriver(OffloadDriver):
         binary = KernelBinary.from_program(program)
 
         # Analytic operating point (needed to price waits and waste).
-        execution = system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=system.omp.threads,
-            memory_intensity=execution.memory_intensity,
-            name=kernel.name)
-        point = system.envelope.solve(host_frequency, activity)
-        if not point.accelerator_usable:
-            raise OffloadError(
-                f"no accelerator power budget left with the host at "
-                f"{host_frequency / 1e6:.0f} MHz")
-        power_model = self.soc.power_model
-        self._pulp_idle_power = power_model.total_power(
-            point.pulp_frequency, point.pulp_voltage, ActivityProfile.idle())
-
-        # Brownout droops the operating point for the whole offload: the
-        # FLL re-locks at a lower clock, compute stretches accordingly.
+        # Brownout droops it for the whole offload: the FLL re-locks at
+        # a lower clock, compute stretches accordingly.
         droop = self.injector.brownout_droop()
+        quote = system.quote(program, host_frequency, name=kernel.name,
+                             droop=droop)
+        self._pulp_idle_power = self.soc.power_model.total_power(
+            quote.nominal.pulp_frequency, quote.nominal.pulp_voltage,
+            ActivityProfile.idle())
         if droop < 1.0:
-            pulp_frequency = point.pulp_frequency * droop
-            pulp_voltage = power_model.table.voltage_for(pulp_frequency)
-            point = replace(
-                point, pulp_frequency=pulp_frequency,
-                pulp_voltage=pulp_voltage,
-                pulp_power=power_model.total_power(
-                    pulp_frequency, pulp_voltage, activity))
             self.recovery_actions.append("dvfs-ride-through")
-        compute_time = execution.wall_cycles / point.pulp_frequency
-        watchdog_s = max(self.policy.watchdog_floor_s,
-                         self.policy.watchdog_factor * compute_time)
+        compute_time = quote.compute_time
+        watchdog_s = self.policy.watchdog_s(compute_time)
 
         telemetry = get_telemetry()
         wasted_time = 0.0
@@ -285,17 +272,7 @@ class ResilientDriver(OffloadDriver):
             if retry_time > 0:
                 wasted_time += retry_time
                 wasted_energy += retry_time * self._wire_power()
-            timing = system.cost_model.offload_timing(
-                binary_bytes=binary.image_bytes,
-                input_bytes=len(input_payload),
-                output_bytes=len(output_payload),
-                compute_cycles=execution.wall_cycles,
-                pulp_frequency=point.pulp_frequency,
-                pulp_voltage=point.pulp_voltage,
-                activity=activity,
-                host_frequency=host_frequency,
-                iterations=iterations,
-                double_buffered=double_buffered)
+            timing = system.price(quote, iterations, double_buffered)
             if wasted_time > 0:
                 timing.total_time += wasted_time
                 timing.energy.add("recovery", wasted_time,
@@ -310,8 +287,8 @@ class ResilientDriver(OffloadDriver):
                 kernel_name=kernel.name,
                 outputs=outputs,
                 verified=read_back == output_payload,
-                execution=execution,
-                envelope=point,
+                execution=quote.execution,
+                envelope=quote.envelope,
                 timing=timing,
                 host_baseline=system.run_on_host(kernel),
                 recovery_actions=tuple(self.recovery_actions),
@@ -326,7 +303,7 @@ class ResilientDriver(OffloadDriver):
                 f"{kernel.name}: recovery ladder exhausted after "
                 f"{failures} attempts and host fallback is disabled")
         return self._host_fallback(
-            kernel, outputs, execution, point, iterations,
+            kernel, outputs, quote.execution, quote.envelope, iterations,
             host_frequency, failures, wasted_time, wasted_energy)
 
     # -- one ladder attempt -------------------------------------------------------

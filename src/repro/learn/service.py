@@ -31,13 +31,14 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.system import HeterogeneousSystem
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, OffloadError
+from repro.kernels import kernel_by_name
 from repro.learn.dataset import CORPUS, label_knobs
 from repro.learn.models import FittedModel, load_model
 from repro.serve.fleet import (
     AnalyticServiceBook,
     ServiceProfile,
-    register_service_book,
+    quiet_pricing,
 )
 from repro.serve.scheduler import register_policy
 from repro.units import mw
@@ -133,28 +134,32 @@ class PredictedServiceBook(AnalyticServiceBook):
     # -- pricing -----------------------------------------------------------------
 
     def _build(self, kernel_name: str, tier: str) -> ServiceProfile:
-        from repro.obs import Telemetry, use_telemetry
-
-        knobs = self._decide(kernel_name) if tier == "fast" else None
-        with use_telemetry(Telemetry(enabled=False)):
-            if knobs is None:
-                return self._build_quiet(kernel_name, tier)
-            try:
-                return self._build_quiet(
-                    kernel_name, tier,
-                    budget=mw(knobs["budget_mw"]),
-                    system=self._system_for(knobs["cluster_size"]),
-                    double_buffered=knobs["double_buffered"])
-            except ConfigurationError:
-                # The predicted point does not close an envelope here
-                # (e.g. a different host clock than the training grid):
-                # serve analytically rather than fail the fleet.
-                self.decisions[kernel_name] = None
+        """Price the fast tier at the predicted budget, cluster size and
+        schedule; everything else, and every infeasible prediction, at
+        the analytic point."""
         from repro.obs import get_telemetry
 
+        knobs = self._decide(kernel_name) if tier == "fast" else None
+        if knobs is None:
+            return super()._build(kernel_name, tier)
+        system = self._system_for(knobs["cluster_size"])
+        try:
+            with quiet_pricing():
+                kernel = kernel_by_name(kernel_name)
+                quote = system.quote(
+                    kernel.build_program(), self.host_frequency,
+                    name=kernel.name, budget=mw(knobs["budget_mw"]))
+                return ServiceProfile.priced(
+                    kernel_name, tier, quote.envelope,
+                    system.price(quote,
+                                 double_buffered=knobs["double_buffered"]))
+        except OffloadError:
+            # The predicted point does not close an envelope here
+            # (e.g. a different host clock than the training grid):
+            # serve analytically rather than fail the fleet.
+            self.decisions[kernel_name] = None
         get_telemetry().count("learn.infeasible", unit="decisions")
-        with use_telemetry(Telemetry(enabled=False)):
-            return self._build_quiet(kernel_name, tier)
+        return super()._build(kernel_name, tier)
 
 
 def _predicted_select(scheduler, now: float) -> int:
@@ -164,5 +169,3 @@ def _predicted_select(scheduler, now: float) -> int:
 
 
 register_policy("predicted", _predicted_select)
-register_service_book(
-    "predicted", lambda **kwargs: PredictedServiceBook(**kwargs))

@@ -17,6 +17,7 @@ from repro.errors import RuntimeModelError
 from repro.isa.program import Loop, Program
 from repro.isa.target import Target
 from repro.obs.telemetry import CYCLES, get_telemetry
+from repro.power.activity import ActivityProfile
 from repro.pulp.timing import ContentionModel, chunk_trips
 from repro.runtime.overheads import OmpOverheads
 
@@ -71,6 +72,13 @@ class ParallelExecution:
         if self.wall_cycles == 0:
             return 0.0
         return min(1.0, self.memory_accesses / self.wall_cycles)
+
+    def activity(self, name: str = "compute") -> ActivityProfile:
+        """The chi factors of this execution: the whole team running,
+        the TCDM busy at the execution's memory intensity."""
+        return ActivityProfile.compute(
+            cores_active=self.threads,
+            memory_intensity=self.memory_intensity, name=name)
 
 
 class DeviceOpenMp:

@@ -43,6 +43,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import EXIT_FAILED, EXIT_GATE, EXIT_OK
 from repro.faults.injector import FleetAction, FleetInjector
 from repro.faults.plan import FleetPlan
 from repro.serve.engine import ServeConfig, ServeEngine, default_power_budget
@@ -51,10 +52,6 @@ from repro.serve.metrics import ServeReport
 from repro.serve.resilience import AlertEvent, ResilienceConfig
 from repro.serve.scheduler import Policy, SchedulerConfig
 from repro.serve.workload import PoissonWorkload, SurgedWorkload
-
-#: ``repro chaos`` exit codes (0 is the implicit healthy code).
-CHAOS_EXIT_SLO = 3
-CHAOS_EXIT_COLLAPSE = 4
 
 
 class ChaosInjector:
@@ -153,10 +150,10 @@ class ChaosCampaignResult:
         """The ``repro chaos`` exit-code contract."""
         verdict = self.verdict
         if verdict == "collapsed":
-            return CHAOS_EXIT_COLLAPSE
+            return EXIT_FAILED
         if verdict == "slo-exhausted":
-            return CHAOS_EXIT_SLO
-        return 0
+            return EXIT_GATE
+        return EXIT_OK
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

@@ -4,11 +4,10 @@
 the wire protocol per request — at hundreds of requests per run that
 would dominate wall time without changing the model.  Instead an
 :class:`AnalyticServiceBook` prices each kernel once per *service tier*
-through the exact same stack a single offload uses
-(:class:`~repro.runtime.omp.DeviceOpenMp` execution,
-:class:`~repro.core.envelope.PowerEnvelopeSolver` operating point,
-:class:`~repro.core.offload.OffloadCostModel` latency/energy), and the
-fleet replays those per-phase costs per request.  Two tiers exist:
+through the pricer a single offload uses
+(:meth:`~repro.core.system.HeterogeneousSystem.quote` and
+:meth:`~repro.core.system.HeterogeneousSystem.price`), and the fleet
+replays those per-phase costs per request.  Two tiers exist:
 
 * ``fast`` — the paper's 10 mW per-node envelope point;
 * ``eco``  — a throttled envelope point (lower per-node power budget,
@@ -35,15 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.envelope import DEFAULT_BUDGET, PowerEnvelopeSolver
+from repro.core.envelope import DEFAULT_BUDGET, EnvelopePoint
+from repro.core.offload import OffloadTiming
 from repro.core.system import HeterogeneousSystem
 from repro.errors import ConfigurationError, Interrupt
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.resilient import RetryPolicy
+from repro.faults.resilient import LADDER, RetryPolicy
 from repro.kernels import kernel_by_name
 from repro.power.activity import ActivityProfile
-from repro.pulp.binary import KernelBinary
 from repro.serve.workload import Request
 from repro.sim.engine import Simulator, Timeout
 from repro.units import mhz, mw
@@ -53,34 +52,13 @@ import enum
 #: Per-node envelope budgets of the two service tiers.
 TIER_BUDGETS: Dict[str, float] = {"fast": DEFAULT_BUDGET, "eco": mw(6.5)}
 
-#: Named service-book factories (``register_service_book``); factories
-#: take keyword arguments forwarded from the caller (e.g. ``host_mhz``).
-_BOOK_REGISTRY: Dict[str, Callable[..., "ServiceBook"]] = {}
 
+def quiet_pricing():
+    """Context in which pricing runs: it is calibration, not part of the
+    serving timeline, so its offload spans stay out of any live hub."""
+    from repro.obs import Telemetry, use_telemetry
 
-def register_service_book(name: str,
-                          factory: Callable[..., "ServiceBook"]) -> None:
-    """Register a pricing backend under *name* (overwrites quietly)."""
-    _BOOK_REGISTRY[name] = factory
-
-
-def registered_service_books() -> Tuple[str, ...]:
-    """Every registered pricing-backend name, sorted."""
-    return tuple(sorted(_BOOK_REGISTRY))
-
-
-def service_book_by_name(name: str, **kwargs) -> "ServiceBook":
-    """Instantiate a registered pricing backend."""
-    try:
-        factory = _BOOK_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(registered_service_books())
-        raise ConfigurationError(
-            f"unknown service book {name!r}; known: {known}") from None
-    return factory(**kwargs)
-
-#: The resilient ladder replayed at fleet granularity (then: node dead).
-LADDER = ("initial", "re-arm", "reboot")
+    return use_telemetry(Telemetry(enabled=False))
 
 
 @dataclass(frozen=True)
@@ -98,6 +76,28 @@ class ServiceProfile:
     active_power: float         #: node draw while serving (PULP + link)
     pulp_frequency: float
     pulp_voltage: float
+
+    @classmethod
+    def priced(cls, kernel: str, tier: str, point: EnvelopePoint,
+               timing: OffloadTiming) -> "ServiceProfile":
+        """Split one priced single-iteration offload into cold (binary
+        upload + boot), per-request I/O and per-request compute."""
+        energy = timing.energy.energy_by_label()
+        return cls(
+            kernel=kernel,
+            tier=tier,
+            cold_time=timing.binary_time + timing.boot_time,
+            cold_energy=energy.get("binary", 0.0) + energy.get("boot", 0.0),
+            unit_io_time=(timing.input_time + timing.sync_time
+                          + timing.output_time),
+            unit_compute_time=timing.compute_time,
+            unit_io_energy=(energy.get("input", 0.0)
+                            + energy.get("sync", 0.0)
+                            + energy.get("output", 0.0)),
+            unit_compute_energy=energy.get("compute", 0.0),
+            active_power=point.pulp_power + point.link_power,
+            pulp_frequency=point.pulp_frequency,
+            pulp_voltage=point.pulp_voltage)
 
     def request_time(self, iterations: int, droop: float = 1.0) -> float:
         """Warm service seconds for one request (compute drooped)."""
@@ -206,80 +206,19 @@ class AnalyticServiceBook(ServiceBook):
         return built
 
     def _build(self, kernel_name: str, tier: str) -> ServiceProfile:
-        # Pricing is calibration, not part of the serving timeline: keep
-        # its offload spans out of any live telemetry hub.
-        from repro.obs import Telemetry, use_telemetry
-
-        with use_telemetry(Telemetry(enabled=False)):
-            return self._build_quiet(kernel_name, tier)
-
-    def _build_quiet(self, kernel_name: str, tier: str,
-                     budget: Optional[float] = None,
-                     system: Optional[HeterogeneousSystem] = None,
-                     double_buffered: bool = False) -> ServiceProfile:
-        """Price one (kernel, tier) through the offload stack.
-
-        *budget*, *system* and *double_buffered* override the tier's
-        default envelope budget, the book's system (e.g. a different
-        cluster size) and the schedule — the hooks a learned book uses
-        to price a predicted operating point through the identical
-        stack.
-        """
-        system = system if system is not None else self.system
-        budget = budget if budget is not None else self.tier_budgets[tier]
-        kernel = kernel_by_name(kernel_name)
-        program = kernel.build_program()
-        binary = KernelBinary.from_program(program)
-        execution = system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=system.omp.threads,
-            memory_intensity=execution.memory_intensity,
-            name=kernel.name)
-        solver = PowerEnvelopeSolver(
-            budget=budget,
-            host_device=system.host.device,
-            pulp_power=system.soc.power_model)
-        point = solver.solve(self.host_frequency, activity)
-        if not point.accelerator_usable:
-            raise ConfigurationError(
-                f"{kernel_name}: no accelerator power budget at tier "
-                f"{tier!r} with the host at "
-                f"{self.host_frequency / 1e6:.0f} MHz")
-        timing = system.cost_model.offload_timing(
-            binary_bytes=binary.image_bytes,
-            input_bytes=program.input_bytes,
-            output_bytes=program.output_bytes,
-            compute_cycles=execution.wall_cycles,
-            pulp_frequency=point.pulp_frequency,
-            pulp_voltage=point.pulp_voltage,
-            activity=activity,
-            host_frequency=self.host_frequency,
-            iterations=1,
-            double_buffered=double_buffered,
-            include_binary=True)
-        energy = timing.energy.energy_by_label()
-        return ServiceProfile(
-            kernel=kernel_name,
-            tier=tier,
-            cold_time=timing.binary_time + timing.boot_time,
-            cold_energy=energy.get("binary", 0.0) + energy.get("boot", 0.0),
-            unit_io_time=(timing.input_time + timing.sync_time
-                          + timing.output_time),
-            unit_compute_time=timing.compute_time,
-            unit_io_energy=(energy.get("input", 0.0)
-                            + energy.get("sync", 0.0)
-                            + energy.get("output", 0.0)),
-            unit_compute_energy=energy.get("compute", 0.0),
-            active_power=point.pulp_power + point.link_power,
-            pulp_frequency=point.pulp_frequency,
-            pulp_voltage=point.pulp_voltage)
+        """Price one (kernel, tier): the offload at the tier's budget."""
+        with quiet_pricing():
+            kernel = kernel_by_name(kernel_name)
+            quote = self.system.quote(
+                kernel.build_program(), self.host_frequency,
+                name=kernel.name, budget=self.tier_budgets[tier])
+            return ServiceProfile.priced(kernel_name, tier, quote.envelope,
+                                         self.system.price(quote))
 
     def host_time(self, request: Request) -> float:
         cached = self._host_runs.get(request.kernel)
         if cached is None:
-            from repro.obs import Telemetry, use_telemetry
-
-            with use_telemetry(Telemetry(enabled=False)):
+            with quiet_pricing():
                 run = self.system.run_on_host(
                     kernel_by_name(request.kernel),
                     frequency=self.host_frequency)
@@ -554,9 +493,8 @@ class Node:
                     continue
                 if self.injector.kernel_hangs():
                     failures += 1
-                    compute = self.book.batch_compute(batch, tier, self.droop)
-                    watchdog = max(self.retry.watchdog_floor_s,
-                                   self.retry.watchdog_factor * compute)
+                    watchdog = self.retry.watchdog_s(
+                        self.book.batch_compute(batch, tier, self.droop))
                     yield Timeout(watchdog)
                     recovery.append("watchdog")
                     wasted_time += watchdog
@@ -676,7 +614,3 @@ class Fleet:
     def dead_nodes(self) -> int:
         """Accelerators lost to exhausted recovery ladders."""
         return sum(1 for node in self.nodes if not node.alive)
-
-
-register_service_book(
-    "analytic", lambda **kwargs: AnalyticServiceBook(**kwargs))

@@ -22,7 +22,8 @@ from repro.bench import (
     validate_report,
     write_report,
 )
-from repro.cli import BENCH_EXIT_REGRESSION, main
+from repro.cli import main
+from repro.errors import EXIT_REGRESSION as BENCH_EXIT_REGRESSION
 from repro.errors import BenchmarkError
 
 #: The engines the acceptance criteria require the trajectory to cover.

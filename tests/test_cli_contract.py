@@ -167,6 +167,9 @@ BAD_INPUT = [
     "learn train --dataset {tmp}/bad.json",
     "learn predict --model {tmp}/bad.json --program dwconv3_i8",
     "serve --scheduler predicted --model {tmp}/bad.json",
+    "offload --host-mhz 48",
+    "serve --host-mhz 48 --requests 10",
+    "faults --host-mhz 48 --scenarios 2",
 ]
 
 

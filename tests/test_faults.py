@@ -24,9 +24,11 @@ from repro.faults import (
     await_end_of_computation,
     build_campaign,
 )
-from repro.kernels import MatmulKernel
+from repro.core.system import HeterogeneousSystem
+from repro.kernels import MatmulKernel, all_kernels
 from repro.link.protocol import Command, Frame, decode_frames, encode_frame
 from repro.obs import Telemetry, use_telemetry
+from repro.units import mhz
 
 
 class TestFaultPlan:
@@ -157,13 +159,26 @@ class TestWatchdogDes:
 
 class TestResilientDriver:
     def test_clean_offload_matches_plain_cost(self):
-        result = ResilientDriver(FaultPlan.clean(), seed=1).offload(
-            MatmulKernel("char"))
-        assert result.verified
-        assert not result.degraded
-        assert result.recovery_actions == ()
-        assert result.fault_attempts == 0
-        assert result.wasted_energy_j == 0.0
+        # A clean resilient offload must price exactly like the plain
+        # one: same operating point, same total time and energy, to the
+        # last bit, for every kernel at every host clock in the budget.
+        for kernel in all_kernels():
+            for host_mhz in (2, 8, 16):
+                where = f"{kernel.name} @ {host_mhz} MHz"
+                result = ResilientDriver(FaultPlan.clean(), seed=1).offload(
+                    kernel, host_frequency=mhz(host_mhz))
+                plain = HeterogeneousSystem().offload(
+                    kernel, host_frequency=mhz(host_mhz))
+                assert result.verified, where
+                assert not result.degraded, where
+                assert result.recovery_actions == (), where
+                assert result.fault_attempts == 0, where
+                assert result.wasted_energy_j == 0.0, where
+                assert result.envelope == plain.envelope, where
+                assert result.timing.total_time.hex() \
+                    == plain.timing.total_time.hex(), where
+                assert result.timing.energy.total_energy.hex() \
+                    == plain.timing.energy.total_energy.hex(), where
 
     @pytest.mark.parametrize("plan", [
         FaultPlan.bit_errors(2e-5),

@@ -42,9 +42,7 @@ from repro.serve import (
     ServeConfig,
     ServeEngine,
     register_policy,
-    register_service_book,
     registered_policies,
-    service_book_by_name,
 )
 
 
@@ -270,6 +268,23 @@ class TestPredictedServiceBook:
         # The eco tier stays analytic even for predicted kernels.
         assert book.profile("cnn", "eco") == analytic.profile("cnn", "eco")
 
+    def test_infeasible_prediction_falls_back_to_analytic(self):
+        from repro.serve import AnalyticServiceBook
+
+        class HalfMilliwatt:
+            """A model that always predicts a 0.5 mW envelope."""
+
+            def ranked(self, features):
+                return [("b0.5/c4/sbuf", 1.0)]
+
+        book = PredictedServiceBook(HalfMilliwatt())
+        hub = Telemetry(enabled=True)
+        with use_telemetry(hub):
+            profile = book.profile("cnn", "fast")
+        assert book.decisions["cnn"] is None
+        assert hub.counters["learn.infeasible"].value == 1
+        assert profile == AnalyticServiceBook().profile("cnn", "fast")
+
     def test_predictor_from_file_checks_version(self, tiny_dataset,
                                                 tmp_path):
         fitted = train_model(tiny_dataset, kind="tree")
@@ -330,25 +345,6 @@ class TestServePlugPoints:
         report = ServeEngine(config).run()
         assert report.policy == "lifo-test"
         assert len(report.records) == 40
-
-    def test_custom_service_book_registered_by_name(self):
-        from repro.serve import AnalyticServiceBook
-
-        class FlatBook(AnalyticServiceBook):
-            pass
-
-        register_service_book("flat-test",
-                              lambda **kwargs: FlatBook(**kwargs))
-        book = service_book_by_name("flat-test", host_mhz=4.0)
-        assert isinstance(book, FlatBook)
-        with pytest.raises(ConfigurationError, match="unknown service"):
-            service_book_by_name("nonesuch")
-
-    def test_analytic_book_registered_by_default(self):
-        from repro.serve import AnalyticServiceBook
-
-        book = service_book_by_name("analytic")
-        assert isinstance(book, AnalyticServiceBook)
 
 
 # -- the CLI ---------------------------------------------------------------------

@@ -492,6 +492,33 @@ class TestRegressions:
         assert summary["degraded"] is False
         assert summary["fault_attempts"] == 0
 
+    def test_analytic_book_matches_offload_split(self):
+        # The fast tier of the analytic book is the offload at the
+        # book's host clock, split into cold, I/O and compute phases.
+        from repro.kernels import all_kernels
+        from repro.serve import AnalyticServiceBook
+
+        book = AnalyticServiceBook(host_mhz=8.0)
+        for kernel in all_kernels():
+            profile = book.profile(kernel.name, "fast")
+            result = HeterogeneousSystem().offload(kernel)
+            timing, point = result.timing, result.envelope
+            energy = timing.energy.energy_by_label()
+            assert profile.cold_time == timing.binary_time + timing.boot_time
+            assert profile.cold_energy == energy["binary"] + energy["boot"]
+            assert profile.unit_io_time == (timing.input_time
+                                            + timing.sync_time
+                                            + timing.output_time)
+            assert profile.unit_io_energy == (energy["input"]
+                                              + energy["sync"]
+                                              + energy["output"])
+            assert profile.unit_compute_time == timing.compute_time
+            assert profile.unit_compute_energy == energy["compute"]
+            assert profile.active_power == (point.pulp_power
+                                            + point.link_power)
+            assert profile.pulp_frequency == point.pulp_frequency
+            assert profile.pulp_voltage == point.pulp_voltage
+
     def test_requeue_preserves_arrival_order_across_repeats(self, book):
         # Batches requeued out of order (and more than once) must land
         # back at the head sorted by their ORIGINAL enqueue time, with
