@@ -14,15 +14,23 @@ solves the power envelope for the best accelerator operating point;
 compute at that point.  The single offload, the resilient driver, the
 serving books, the sensor pipeline and Figure 5b all price through
 this pair.
+
+Work that depends only on the kernel — program, binary image, inputs,
+outputs, OpenMP execution, the nominal operating point and the host
+lowering — goes through the system's :class:`~repro.core.memo.WorkMemo`,
+which a design-space sweep shares across every system it builds.  The
+wire round trip, region placement and pricing run on every offload.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.errors import OffloadError
 from repro.core.envelope import EnvelopePoint, PowerEnvelopeSolver
+from repro.core.memo import WorkMemo
 from repro.core.offload import OffloadCostModel, OffloadTiming
 from repro.isa.or10n import Or10nTarget
 from repro.isa.program import Program
@@ -239,14 +247,52 @@ class OffloadResult:
         return "\n".join(lines)
 
 
+def _frozen(arrays: Arrays) -> Arrays:
+    """*arrays*, made read-only: memoized arrays are shared by every
+    offload and result that uses them."""
+    for array in arrays.values():
+        array.setflags(write=False)
+    return arrays
+
+
+def _content_digest(arrays: Arrays) -> str:
+    """SHA-1 of every array's name, dtype, shape and bytes."""
+    digest = hashlib.sha1()
+    for key in sorted(arrays):
+        array = arrays[key]
+        digest.update(f"{key}:{array.dtype.str}:{array.shape};".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _kernel_inputs(kernel: Kernel, seed: int) -> Tuple[Arrays, bytes, str]:
+    inputs = _frozen(kernel.generate_inputs(seed))
+    return inputs, kernel.serialize_inputs(inputs), _content_digest(inputs)
+
+
+def _kernel_outputs(kernel: Kernel, inputs: Arrays) -> Tuple[Arrays, bytes]:
+    outputs = _frozen(kernel.compute(inputs))
+    return outputs, kernel.serialize_outputs(outputs)
+
+
 class HeterogeneousSystem:
-    """STM32-L476 + PULP over (Q)SPI: the paper's system."""
+    """STM32-L476 + PULP over (Q)SPI: the paper's system.
+
+    *memo* is the :class:`~repro.core.memo.WorkMemo` this system's
+    kernel work goes through; without one the system makes its own.
+    Systems that share a memo must share the accelerator model (the
+    default :class:`~repro.pulp.soc.PulpSoc`, as
+    :func:`repro.dse.build_system` builds them): the keys name the
+    kernel, program, cluster size, host device and budget, not the PULP
+    power model.
+    """
 
     def __init__(self, host: Optional[Stm32L476] = None,
                  soc: Optional[PulpSoc] = None,
                  link: Optional[SpiLink] = None,
                  threads: int = 4,
-                 budget: Optional[float] = None):
+                 budget: Optional[float] = None,
+                 memo: Optional[WorkMemo] = None):
         self.host = host if host is not None else Stm32L476()
         self.soc = soc if soc is not None else PulpSoc()
         self.link = link if link is not None else SpiLink(SpiMode.QUAD)
@@ -255,6 +301,7 @@ class HeterogeneousSystem:
         self.cost_model = OffloadCostModel(self.host, self.link,
                                            self.soc.power_model)
         self.envelope = self._solver(budget)
+        self.memo = memo if memo is not None else WorkMemo()
         self._resident_binary: Optional[str] = None
         self._event_clock = 0.0
 
@@ -267,6 +314,16 @@ class HeterogeneousSystem:
         kwargs = {} if budget is None else {"budget": budget}
         return PowerEnvelopeSolver(host_device=self.host.device,
                                    pulp_power=self.soc.power_model, **kwargs)
+
+    # -- memoized work ------------------------------------------------------------
+
+    def _program(self, kernel: Kernel) -> Program:
+        return self.memo.get(("program", kernel.identity),
+                             kernel.build_program)
+
+    def _binary(self, program: Program) -> KernelBinary:
+        return self.memo.get(("binary", program),
+                             lambda: KernelBinary.from_program(program))
 
     # -- the pricer ---------------------------------------------------------------
 
@@ -284,10 +341,17 @@ class HeterogeneousSystem:
         :class:`~repro.errors.OffloadError` when the host leaves the
         accelerator no power.
         """
-        execution = self.omp.execute(program)
-        activity = execution.activity(name)
+        memo = self.memo
+        threads = self.omp.threads
+        execution = memo.get(("execution", program, threads),
+                             lambda: self.omp.execute(program))
+        activity = memo.get(("activity", program, threads, name),
+                            lambda: execution.activity(name))
         solver = self.envelope if budget is None else self._solver(budget)
-        nominal = solver.solve(host_frequency, activity)
+        nominal = memo.get(
+            ("nominal", solver.host_device, solver.budget,
+             solver.link_reserve, host_frequency, program, threads),
+            lambda: solver.solve(host_frequency, activity))
         if not nominal.accelerator_usable:
             raise OffloadError(
                 f"no accelerator power budget left with the host at "
@@ -317,7 +381,7 @@ class HeterogeneousSystem:
         program = quote.program
         point = quote.envelope
         return self.cost_model.offload_timing(
-            binary_bytes=KernelBinary.from_program(program).image_bytes,
+            binary_bytes=self._binary(program).image_bytes,
             input_bytes=program.input_bytes,
             output_bytes=program.output_bytes,
             compute_cycles=quote.execution.wall_cycles,
@@ -335,10 +399,12 @@ class HeterogeneousSystem:
     def run_on_host(self, kernel: Kernel,
                     frequency: float = Stm32L476.BASELINE_FREQUENCY) -> HostRun:
         """Run the kernel on the host alone (the paper's baseline)."""
-        program = kernel.build_program()
-        report = self.host.device.lower(program)
-        time = report.cycles / frequency
-        return HostRun(frequency=frequency, cycles=report.cycles, time=time,
+        program = self._program(kernel)
+        device = self.host.device
+        cycles = self.memo.get(("host_cycles", program, device),
+                               lambda: device.lower(program).cycles)
+        return HostRun(frequency=frequency, cycles=cycles,
+                       time=cycles / frequency,
                        power=self.host.active_power(frequency))
 
     # -- the offload --------------------------------------------------------------
@@ -352,16 +418,23 @@ class HeterogeneousSystem:
         into the accelerator's L2, runs the kernel, reads results back
         and verifies them against a direct computation.  The analytic
         path prices the same sequence with the calibrated models.
+
+        The kernel's program, inputs and outputs come from :attr:`memo`
+        and are computed once per memo; the wire round trip and its
+        verification run on every call.  ``outputs`` of the result are
+        read-only arrays shared with later offloads.
         """
-        program = kernel.build_program()
-        inputs = kernel.generate_inputs(seed)
-        input_payload = kernel.serialize_inputs(inputs)
+        memo = self.memo
+        identity = kernel.identity
+        program = self._program(kernel)
+        inputs, input_payload, digest = memo.get(
+            ("inputs", identity, seed), lambda: _kernel_inputs(kernel, seed))
         if len(input_payload) != program.input_bytes:
             raise OffloadError(
                 f"{kernel.name}: serialized input is {len(input_payload)} B "
                 f"but the program declares {program.input_bytes} B")
 
-        binary = KernelBinary.from_program(program)
+        binary = self._binary(program)
         region = TargetRegion(binary=binary, maps=[
             MapClause("inputs", MapDirection.TO, data=input_payload),
             MapClause("outputs", MapDirection.FROM,
@@ -371,7 +444,10 @@ class HeterogeneousSystem:
 
         # ---- functional path: push frames through the protocol ----
         include_binary = self._resident_binary != binary.name
-        pre_frames, post_frames = region.to_frames(include_binary=include_binary)
+        pre_frames, post_frames = region.to_frames(
+            include_binary=include_binary,
+            image=memo.get(("image", binary), binary.to_bytes)
+            if include_binary else None)
         self.soc.reset()
         if include_binary:
             self.soc.register_binary(binary, region.addresses["__binary__"])
@@ -381,8 +457,9 @@ class HeterogeneousSystem:
             decoded, = decode_frames(encode_frame(frame))
             self.soc.handle_frame(decoded)
         self.soc.trigger_fetch_enable(time=self._next_event_time())
-        outputs = kernel.compute(inputs)
-        output_payload = kernel.serialize_outputs(outputs)
+        outputs, output_payload = memo.get(
+            ("outputs", identity, digest),
+            lambda: _kernel_outputs(kernel, inputs))
         if len(output_payload) != program.output_bytes:
             raise OffloadError(
                 f"{kernel.name}: serialized output is {len(output_payload)} B "
@@ -401,7 +478,7 @@ class HeterogeneousSystem:
                             include_binary)
         return OffloadResult(
             kernel_name=kernel.name,
-            outputs=outputs,
+            outputs=dict(outputs),
             verified=verified,
             execution=quote.execution,
             envelope=quote.envelope,

@@ -13,6 +13,12 @@ into a list of evaluation records:
    configuration order, so parallel, serial and fully cached runs return
    bit-identical results.
 
+Kernel work that does not vary with the configuration (program, inputs,
+outputs, OpenMP execution, nominal operating point) goes through one
+:class:`~repro.core.memo.WorkMemo` per engine, the same owner as its
+result cache: serial evaluations share the engine's memo across every
+``run``, and each pool worker has one memo for the life of its executor.
+
 Progress is reported through the active :mod:`repro.obs` hub: a
 ``dse.run`` span around the whole exploration, a ``dse.evaluate`` span
 around the miss batch, ``dse.cache.hits`` / ``dse.cache.misses`` /
@@ -21,11 +27,11 @@ around the miss batch, ``dse.cache.hits`` / ``dse.cache.misses`` /
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core.memo import WorkMemo
 from repro.errors import ConfigurationError
 from repro.obs import get_telemetry, monotonic
 
@@ -81,14 +87,34 @@ class ExplorationResult:
         return [r for r in self.records if r["feasible"]]
 
 
+#: The work memo of a pool worker process, made by :func:`_start_worker`
+#: when the executor starts the worker; it ends with the worker.
+_worker_memo: Optional[WorkMemo] = None
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = WorkMemo()
+
+
+def _evaluate_in_worker(knobs: Dict[str, Any],
+                        model_version: str) -> Dict[str, Any]:
+    return _evaluate.evaluate_config(knobs, model_version, _worker_memo)
+
+
 class ExplorationEngine:
-    """High-throughput evaluator over a declarative parameter space."""
+    """High-throughput evaluator over a declarative parameter space.
+
+    The engine owns its :attr:`memo`: every in-process evaluation of
+    every ``run`` shares it, and a new engine starts with an empty one.
+    """
 
     def __init__(self, cache: Optional[ResultCache] = None, jobs: int = 1):
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.cache = cache
         self.jobs = jobs
+        self.memo = WorkMemo()
 
     def run(self, space: ParameterSpace) -> ExplorationResult:
         """Evaluate every configuration of *space*; cached where possible."""
@@ -133,23 +159,25 @@ class ExplorationEngine:
         """Evaluate the cache misses, in parallel when it pays off."""
         if not misses:
             return []
-        worker = functools.partial(_evaluate.evaluate_config,
-                                   model_version=model_version)
         knob_dicts = [config.as_dict() for config in misses]
         results: List[Dict[str, Any]] = []
         with hub.timed("dse.evaluate", "dse", count=len(misses)):
             if self.jobs == 1 or len(misses) == 1:
                 for index, knobs in enumerate(knob_dicts):
-                    results.append(worker(knobs))
+                    results.append(_evaluate.evaluate_config(
+                        knobs, model_version, self.memo))
                     hub.count("dse.evaluations")
                     hub.gauge("dse.progress", (index + 1) / len(misses))
             else:
                 workers = min(self.jobs, len(misses))
                 chunk = max(1, len(misses) // (4 * workers))
-                with ProcessPoolExecutor(max_workers=workers) as executor:
-                    for index, record in enumerate(
-                            executor.map(worker, knob_dicts,
-                                         chunksize=chunk)):
+                with ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_start_worker) as executor:
+                    for index, record in enumerate(executor.map(
+                            _evaluate_in_worker, knob_dicts,
+                            [model_version] * len(knob_dicts),
+                            chunksize=chunk)):
                         results.append(record)
                         hub.count("dse.evaluations")
                         hub.gauge("dse.progress",

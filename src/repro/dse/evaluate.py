@@ -3,7 +3,9 @@
 :func:`evaluate_config` is a pure module-level function over a canonical
 knob dict, so it is picklable and can run inside
 ``ProcessPoolExecutor`` workers; each worker builds its own
-:class:`~repro.core.system.HeterogeneousSystem` from the knobs.  The
+:class:`~repro.core.system.HeterogeneousSystem` from the knobs.  An
+optional :class:`~repro.core.memo.WorkMemo` carries kernel work from one
+configuration to the next; it changes no record.  The
 evaluation is deterministic — the same configuration always produces a
 bit-identical record — which is what makes content-addressed caching
 (:mod:`repro.dse.cache`) sound.
@@ -16,9 +18,10 @@ stale automatically.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 from repro import __version__
+from repro.core.memo import WorkMemo
 from repro.core.system import HeterogeneousSystem
 from repro.errors import ReproError
 from repro.kernels import kernel_by_name
@@ -34,8 +37,10 @@ MODEL_VERSION = f"repro-{__version__}/dse-1"
 _SPI_MODES = {"single": SpiMode.SINGLE, "quad": SpiMode.QUAD}
 
 
-def build_system(knobs: Mapping[str, Any]) -> HeterogeneousSystem:
-    """Construct the heterogeneous system a canonical config describes."""
+def build_system(knobs: Mapping[str, Any],
+                 memo: Optional[WorkMemo] = None) -> HeterogeneousSystem:
+    """Construct the heterogeneous system a canonical config describes,
+    its kernel work going through *memo* when given."""
     if knobs["link_tying"] == "untied":
         host = UntiedSpiHost(serial_clock=mhz(knobs["untied_clock_mhz"]))
     else:
@@ -45,11 +50,13 @@ def build_system(knobs: Mapping[str, Any]) -> HeterogeneousSystem:
         link=SpiLink(_SPI_MODES[knobs["spi_mode"]]),
         threads=knobs["cluster_size"],
         budget=mw(knobs["budget_mw"]),
+        memo=memo,
     )
 
 
 def evaluate_config(knobs: Mapping[str, Any],
-                    model_version: str = None) -> Dict[str, Any]:
+                    model_version: str = None,
+                    memo: Optional[WorkMemo] = None) -> Dict[str, Any]:
     """Run one configuration end to end and return its result record.
 
     Infeasible points (e.g. a host frequency whose own power exhausts
@@ -68,7 +75,7 @@ def evaluate_config(knobs: Mapping[str, Any],
         "metrics": None,
     }
     try:
-        system = build_system(canonical)
+        system = build_system(canonical, memo)
         result = system.offload(
             kernel_by_name(canonical["kernel"]),
             host_frequency=mhz(canonical["host_mhz"]),

@@ -130,6 +130,23 @@ class Program:
         object.__setattr__(self, "const_bytes", int(const_bytes))
         object.__setattr__(self, "buffer_bytes", int(buffer_bytes))
 
+    def __hash__(self) -> int:
+        # Programs key the work memo (repro.core.memo) on every quote, so
+        # the deep tree is hashed once.  Pickling drops the cached value:
+        # string hashes differ between processes.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.body, self.input_bytes,
+                           self.output_bytes, self.const_bytes,
+                           self.buffer_bytes))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # -- traversal ----------------------------------------------------------
 
     def walk(self) -> Iterator[Node]:

@@ -34,14 +34,31 @@ class KernelResult:
 
 
 class Kernel(abc.ABC):
-    """One benchmark kernel."""
+    """One benchmark kernel.
 
-    #: Paper name, e.g. ``"matmul (fixed)"``.
+    Identity contract: for every registered benchmark, the kernel class
+    and :attr:`name` together determine :meth:`build_program`, and
+    (class, name, seed) determines :meth:`generate_inputs`.  A kernel
+    whose constructor takes parameters the name does not spell (matrix
+    size, SVM dimensions) adds them to :attr:`identity`.  The work memo
+    of :class:`~repro.core.system.HeterogeneousSystem` keys a kernel's
+    program, inputs and outputs on :attr:`identity`, so two kernels with
+    equal identities must do the same work.
+    """
+
+    #: Paper name, e.g. ``"matmul (fixed)"``; with the class, it names
+    #: the kernel's program and (with a seed) its inputs.
     name: str = ""
     #: One-line description (Table I column 2).
     description: str = ""
     #: Application field (Table I column 3).
     field: str = ""
+
+    @property
+    def identity(self) -> tuple:
+        """(class, name) plus every constructor parameter the name does
+        not spell: the value that names this kernel's work."""
+        return (type(self), self.name)
 
     # -- functional path ---------------------------------------------------------
 

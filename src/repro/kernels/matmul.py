@@ -57,6 +57,10 @@ class MatmulKernel(Kernel):
             "fixed": "Matrix multiplication on 16-bit fixed-point data",
         }[variant]
 
+    @property
+    def identity(self) -> tuple:
+        return (type(self), self.name, self.n)
+
     # -- functional path ---------------------------------------------------------
 
     def generate_inputs(self, seed: int = 0) -> Arrays:

@@ -65,6 +65,10 @@ class StrassenKernel(Kernel):
         self.n = int(n)
         self.threshold = int(threshold)
 
+    @property
+    def identity(self) -> tuple:
+        return (type(self), self.name, self.n, self.threshold)
+
     # -- functional path ---------------------------------------------------------
 
     def generate_inputs(self, seed: int = 0) -> Arrays:

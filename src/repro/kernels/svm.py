@@ -59,6 +59,11 @@ class SvmKernel(Kernel):
             "RBF": "Support Vector Machine classifier (radial basis function kernel)",
         }[kernel]
 
+    @property
+    def identity(self) -> tuple:
+        return (type(self), self.name, self.dimensions, self.support_vectors,
+                self.test_vectors, self.classes)
+
     # -- functional path ---------------------------------------------------------
 
     def generate_inputs(self, seed: int = 0) -> Arrays:

@@ -136,11 +136,14 @@ class TargetRegion:
                 to_cursor += len(clause.data)
                 from_cursor += len(clause.data)
 
-    def to_frames(self, include_binary: bool = True) -> Tuple[List[Frame], List[Frame]]:
+    def to_frames(self, include_binary: bool = True,
+                  image: Optional[bytes] = None
+                  ) -> Tuple[List[Frame], List[Frame]]:
         """The (pre-region, post-region) frame sequences.
 
         Pre: optional LOAD_BINARY, WRITE_DATA per ``to`` clause, START.
-        Post: READ_DATA per ``from`` clause.
+        Post: READ_DATA per ``from`` clause.  *image* is the binary's
+        ``to_bytes()`` when the caller already holds it.
         """
         if not self.addresses:
             raise OffloadError("TargetRegion.place() must run before to_frames()")
@@ -148,7 +151,8 @@ class TargetRegion:
         if include_binary:
             pre.append(Frame(Command.LOAD_BINARY,
                              self.addresses["__binary__"],
-                             self.binary.to_bytes()))
+                             self.binary.to_bytes() if image is None
+                             else image))
         for clause in self.maps:
             if clause.transfer_to_bytes:
                 pre.append(Frame(Command.WRITE_DATA,

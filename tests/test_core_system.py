@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import OffloadError
+from repro.core.memo import WorkMemo
 from repro.core.system import HeterogeneousSystem
 from repro.kernels import all_kernels, kernel_by_name
 from repro.kernels.matmul import MatmulKernel
+from repro.link.protocol import Command
 from repro.link.spi import SpiLink, SpiMode
+from repro.pulp.soc import PulpSoc
 from repro.units import mhz
 
 
@@ -104,3 +107,63 @@ class TestOffload:
         assert system.soc.fetch_enable.edge_count == 2
         assert system.soc.end_of_computation.edge_count == 2
         assert result.verified
+
+
+class _FlakyReadSoc(PulpSoc):
+    """Flips one byte of the READ_DATA reply of its *corrupt_read*-th read."""
+
+    def __init__(self, corrupt_read: int):
+        super().__init__()
+        self.corrupt_read = corrupt_read
+        self.reads = 0
+
+    def handle_frame(self, frame):
+        reply = super().handle_frame(frame)
+        if frame.command is Command.READ_DATA:
+            self.reads += 1
+            if self.reads == self.corrupt_read:
+                reply = bytes([reply[0] ^ 0x01]) + reply[1:]
+        return reply
+
+
+class TestWorkMemo:
+    """Offloads that share a work memo share kernel work, not checks."""
+
+    def test_memo_outputs_are_read_only(self):
+        kernel = MatmulKernel("char")
+        system = HeterogeneousSystem()
+        first = system.offload(kernel)
+        with pytest.raises(ValueError):
+            first.outputs["c"][0, 0] = 1
+        second = system.offload(kernel)
+        assert second.verified is True
+        direct = kernel.compute(kernel.generate_inputs(0))
+        assert set(second.outputs) == set(direct)
+        for name, array in direct.items():
+            assert second.outputs[name].dtype == array.dtype
+            assert second.outputs[name].tobytes() == array.tobytes()
+
+    def test_result_dicts_are_not_shared(self):
+        system = HeterogeneousSystem()
+        first = system.offload(MatmulKernel("char"))
+        first.outputs.pop("c")
+        assert "c" in system.offload(MatmulKernel("char")).outputs
+
+    def test_round_trip_still_verified_per_offload(self):
+        memo = WorkMemo()
+        kernel = MatmulKernel("char")
+        clean = HeterogeneousSystem(memo=memo).offload(kernel)
+        assert clean.verified is True
+        flaky = HeterogeneousSystem(soc=_FlakyReadSoc(corrupt_read=2),
+                                    memo=memo)
+        assert flaky.offload(kernel).verified is True
+        assert flaky.offload(kernel).verified is False
+        assert flaky.offload(kernel).verified is True
+
+    def test_kernel_parameters_are_part_of_the_key(self, system):
+        small = system.run_on_host(MatmulKernel("char", n=16))
+        full = system.run_on_host(MatmulKernel("char"))
+        assert small.cycles < full.cycles
+        assert system.offload(MatmulKernel("char", n=16)).verified
+        assert system.offload(MatmulKernel("char")).outputs["c"].shape \
+            == (64, 64)

@@ -17,6 +17,7 @@ from repro.dse import (
 )
 from repro.dse import evaluate as dse_evaluate
 from repro.errors import ConfigurationError
+from repro.kernels import BENCHMARK_NAMES
 
 
 def tiny_space(**overrides):
@@ -188,7 +189,9 @@ class TestEngine:
         assert widened.stats.cache_misses == 2   # only the new host_mhz
 
     def test_parallel_matches_serial(self, tmp_path):
-        space = tiny_space()
+        # Several kernels, so each worker's memo serves more than one
+        # kernel and the serial run's memo serves all of them.
+        space = tiny_space(kernel=["matmul", "strassen", "cnn", "hog"])
         serial = ExplorationEngine(jobs=1).run(space)
         parallel = ExplorationEngine(jobs=2).run(space)
         assert parallel.records == serial.records
@@ -209,6 +212,57 @@ class TestEngine:
         assert hub.counters["dse.evaluations"].value == 4
         lanes = {span.lane for span in hub.spans}
         assert "dse" in lanes
+
+
+@pytest.fixture
+def compute_calls(monkeypatch):
+    """Count ``Kernel.compute`` calls, per kernel name, on every kernel."""
+    from repro.kernels import all_kernels
+
+    calls = []
+    for cls in {type(kernel) for kernel in all_kernels()}:
+        def counted(self, inputs, _compute=cls.compute):
+            calls.append(self.name)
+            return _compute(self, inputs)
+        monkeypatch.setattr(cls, "compute", counted)
+    return calls
+
+
+class TestWorkMemo:
+    """The engine's work memo: its lifetime, and records it leaves alone."""
+
+    def test_fresh_engines_each_compute_again(self, compute_calls):
+        ExplorationEngine(jobs=1).run(tiny_space())
+        assert compute_calls == ["matmul"]
+        ExplorationEngine(jobs=1).run(tiny_space())
+        assert compute_calls == ["matmul", "matmul"]
+
+    def test_one_engine_computes_each_kernel_once(self, compute_calls):
+        space = tiny_space(kernel=list(BENCHMARK_NAMES))
+        ExplorationEngine(jobs=1).run(space)
+        assert sorted(compute_calls) == sorted(BENCHMARK_NAMES)
+
+    def test_one_config_per_run_computes_each_kernel_once(
+            self, compute_calls):
+        engine = ExplorationEngine(jobs=1)
+        for config in tiny_space(kernel=list(BENCHMARK_NAMES)).expand():
+            engine.run(ParameterSpace(points=[config.as_dict()]))
+        assert sorted(compute_calls) == sorted(BENCHMARK_NAMES)
+
+    def test_shared_memo_records_equal_fresh_records(self):
+        # Every knob a memo key names (host clock, budget, cluster size)
+        # varies, and one that no key names (link width).
+        space = ParameterSpace(grid={
+            "kernel": list(BENCHMARK_NAMES), "host_mhz": [2.0, 16.0],
+            "budget_mw": [5.0, 10.0], "cluster_size": [2, 4],
+            "spi_mode": ["single", "quad"]})
+        shared = ExplorationEngine(jobs=1).run(space).records
+        fresh = [evaluate_config(config.as_dict())
+                 for config in space.expand()]
+        assert len(fresh) == 160
+        # JSON spells every float exactly: bit for bit, signed zeros too.
+        assert json.dumps(shared, sort_keys=True) \
+            == json.dumps(fresh, sort_keys=True)
 
 
 def _record(h, speedup, energy, power, feasible=True, **knobs):

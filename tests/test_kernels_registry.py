@@ -31,6 +31,28 @@ class TestRegistry:
     def test_paper_values_for_all(self):
         assert set(PAPER_TABLE1) == set(BENCHMARK_NAMES)
 
+    def test_class_and_name_identify_distinct_programs(self):
+        # The work memo keys programs, inputs and outputs on the kernel
+        # identity; for the benchmarks that is (class, name).
+        kernels = [kernel_by_name(name) for name in BENCHMARK_NAMES]
+        pairs = {(type(k), k.name) for k in kernels}
+        assert len(pairs) == len(BENCHMARK_NAMES)
+        assert len({k.identity for k in kernels}) == len(BENCHMARK_NAMES)
+        programs = [k.build_program() for k in kernels]
+        assert len(set(programs)) == len(BENCHMARK_NAMES)
+        for name in BENCHMARK_NAMES:
+            assert kernel_by_name(name).build_program() \
+                == programs[BENCHMARK_NAMES.index(name)]
+
+    def test_identity_spells_unnamed_parameters(self):
+        from repro.kernels.matmul import MatmulKernel
+        from repro.kernels.svm import SvmKernel
+
+        assert MatmulKernel("char", n=16).identity \
+            != MatmulKernel("char").identity
+        assert SvmKernel("linear", dimensions=32).identity \
+            != SvmKernel("linear").identity
+
 
 class TestCrossKernelInvariants:
     @pytest.fixture(scope="class")
